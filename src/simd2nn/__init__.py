@@ -66,7 +66,6 @@ from .network import (
 )
 from .propagation import (
     Propagation,
-    TransmissionMatrix,
     build_input_vector,
     build_propagation,
     build_transmission_matrix,

@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 1 on configuration/format problems, 2 on runtime
 failures. Flags override config-file values, which override built-in
-defaults. ``SIMD2NN_KERNELS`` and ``SIMD2NN_THREADS`` control the numeric
-kernels (see the kernels module).
+defaults.
 """
 
 import argparse
@@ -16,18 +15,19 @@ from .config import resolve_config
 from .data import extract_patches, load_scene, save_dataset, save_scene, synthesize_scene
 from .errors import ConfigurationError, FormatError, SimError
 from .experiment import (
-    channel_for_config,
-    encode_for_config,
     format_ablation_table,
-    obtain_patches,
+    prepare_experiment,
     run_ablation_suite,
     run_experiment,
+    stage,
+    write_evaluation_artifacts,
+    write_training_artifacts,
 )
 from .geometry import build_geometry
-from .metrics import export_class_map, format_percent, format_report
-from .network import load_params, save_params
+from .metrics import format_percent
+from .network import load_params
 from .propagation import build_transmission_matrix, dump_matrix_text
-from .training import evaluate, save_history, train
+from .training import evaluate, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,16 +112,13 @@ def _cmd_patch(args) -> int:
 
 def _cmd_train(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
-    geometry = build_geometry(config.geometry)
-    patches = obtain_patches(config)
-    dataset = encode_for_config(config, patches)
-    channel = channel_for_config(config)
-    params, history = train(dataset, geometry, channel, config.training, kind=config.model_kind)
-    os.makedirs(config.output_dir, exist_ok=True)
-    params_path = os.path.join(config.output_dir, "params.simth1")
-    history_path = os.path.join(config.output_dir, "history.txt")
-    save_params(params_path, params)
-    save_history(history_path, history)
+    prep = prepare_experiment(config)
+    with stage("train"):
+        params, history = train(
+            prep.dataset, prep.geometry, prep.channel, config.training, kind=config.model_kind
+        )
+    with stage("write-artifacts"):
+        params_path, history_path = write_training_artifacts(config, params, history)
     last = history[-1]
     print(
         f"trained {config.model_kind} model for {last.epoch} epochs; "
@@ -133,20 +130,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
-    geometry = build_geometry(config.geometry)
     params = load_params(args.params)
-    patches = obtain_patches(config)
-    dataset = encode_for_config(config, patches)
-    channel = channel_for_config(config)
-    predictions, bundle = evaluate(params, dataset, geometry, channel, config.training)
-    os.makedirs(config.output_dir, exist_ok=True)
-    report_path = os.path.join(config.output_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(format_report(bundle))
-    grid = dataset.grid_shape()
-    if grid is not None:
-        map_path = os.path.join(config.output_dir, "class_map.pgm")
-        export_class_map(predictions.reshape(grid), config.channel.num_rx_antennas, map_path)
+    prep = prepare_experiment(config)
+    with stage("evaluate"):
+        predictions, bundle = evaluate(
+            params, prep.dataset, prep.geometry, prep.channel, config.training
+        )
+    with stage("write-artifacts"):
+        report_path, map_path = write_evaluation_artifacts(
+            config, predictions, bundle, prep.dataset
+        )
+    if map_path is not None:
         print(f"wrote {report_path} and {map_path}")
     else:
         print(f"wrote {report_path} (no full patch grid; class map skipped)")
@@ -191,7 +185,7 @@ def _cmd_dump_matrix(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
     geometry = build_geometry(config.geometry)
     matrix = build_transmission_matrix(geometry, args.layer)
-    dump_matrix_text(matrix.entries, args.out)
+    dump_matrix_text(matrix, args.out)
     m = geometry.atoms_per_layer
     print(f"wrote {m}x{m} layer-{args.layer} transmission matrix to {args.out}")
     return 0

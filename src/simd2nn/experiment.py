@@ -4,13 +4,17 @@ One experiment: build geometry, obtain patches (synthetic, scene file, or
 dataset file), encode, draw the block-fading channel once, train on a
 sampled split, evaluate every patch, and write the four artifacts (trained
 parameters, training history, metrics report, class map). Everything is
-keyed off the master seed, so a rerun is byte-identical.
+keyed off the master seed, so a rerun is byte-identical. The CLI's
+``train`` and ``eval`` commands run the same stages: ``prepare_experiment``
+and the artifact writers.
 """
 
 import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import seeding
 from .channel import ChannelState, realize_channel
@@ -25,10 +29,10 @@ from .data import (
     synthesize_scene,
 )
 from .errors import ConfigurationError, SimError
-from .geometry import build_geometry
+from .geometry import SimGeometry, build_geometry
 from .metrics import MetricsBundle, export_class_map, format_percent, format_report
-from .network import save_params
-from .training import evaluate, save_history, train
+from .network import DigitalParams, PhaseParams, save_params
+from .training import EpochStats, evaluate, save_history, train
 
 logger = logging.getLogger("simd2nn.experiment")
 
@@ -43,7 +47,7 @@ class ExperimentResult:
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
     """Prefix errors with the pipeline stage that raised them."""
     try:
         yield
@@ -86,6 +90,74 @@ def channel_for_config(config: ExperimentConfig) -> ChannelState:
     return realize_channel(config.channel, m, seeding.stream(seed, seeding.CHANNEL))
 
 
+@dataclass
+class PreparedExperiment:
+    """What the train and evaluate stages consume, built by ``prepare_experiment``."""
+
+    geometry: SimGeometry
+    dataset: EncodedDataset
+    channel: ChannelState
+
+
+def prepare_experiment(
+    config: ExperimentConfig, patches: list[IqPatch] | None = None
+) -> PreparedExperiment:
+    """Validate the config, then obtain patches, encode them and draw the channel.
+
+    Validation runs before any data work. Errors carry the failing stage name
+    (configure, data, encode, channel).
+    """
+    with stage("configure"):
+        geometry = build_geometry(config.geometry)
+        config.channel.validate()
+        config.training.validate()
+    with stage("data"):
+        if patches is None:
+            patches = obtain_patches(config)
+        if not patches:
+            raise ConfigurationError("patch source produced no patches")
+    with stage("encode"):
+        dataset = encode_for_config(config, patches)
+    with stage("channel"):
+        channel = channel_for_config(config)
+    return PreparedExperiment(geometry=geometry, dataset=dataset, channel=channel)
+
+
+def write_training_artifacts(
+    config: ExperimentConfig, params: PhaseParams | DigitalParams, history: list[EpochStats]
+) -> tuple[str, str]:
+    """Write ``params.simth1`` and ``history.txt``; returns their paths."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    params_path = os.path.join(config.output_dir, "params.simth1")
+    history_path = os.path.join(config.output_dir, "history.txt")
+    save_params(params_path, params)
+    save_history(history_path, history)
+    return params_path, history_path
+
+
+def write_evaluation_artifacts(
+    config: ExperimentConfig,
+    predictions: np.ndarray,
+    bundle: MetricsBundle,
+    dataset: EncodedDataset,
+) -> tuple[str, str | None]:
+    """Write ``report.txt`` and, for a full patch grid, ``class_map.pgm``.
+
+    Returns the report path and the class-map path (None when skipped).
+    """
+    os.makedirs(config.output_dir, exist_ok=True)
+    report_path = os.path.join(config.output_dir, "report.txt")
+    with open(report_path, "w") as fh:
+        fh.write(format_report(bundle))
+    grid = dataset.grid_shape()
+    if grid is None:
+        logger.warning("patch origins do not form a full grid; skipping class-map export")
+        return report_path, None
+    class_map_path = os.path.join(config.output_dir, "class_map.pgm")
+    export_class_map(predictions.reshape(grid), config.channel.num_rx_antennas, class_map_path)
+    return report_path, class_map_path
+
+
 def run_experiment(
     config: ExperimentConfig, patches: list[IqPatch] | None = None
 ) -> ExperimentResult:
@@ -94,44 +166,20 @@ def run_experiment(
     Errors carry the failing stage name (configure, data, encode, channel,
     train, evaluate, write-artifacts).
     """
-    with _stage("configure"):
-        geometry = build_geometry(config.geometry)  # validates before any compute
-        config.channel.validate()
-        config.training.validate()
-    with _stage("data"):
-        if patches is None:
-            patches = obtain_patches(config)
-        if not patches:
-            raise ConfigurationError("patch source produced no patches")
-    with _stage("encode"):
-        dataset = encode_for_config(config, patches)
-    with _stage("channel"):
-        channel = channel_for_config(config)
-
-    with _stage("train"):
-        params, history = train(dataset, geometry, channel, config.training, kind=config.model_kind)
-    with _stage("evaluate"):
-        predictions, bundle = evaluate(params, dataset, geometry, channel, config.training)
-
-    with _stage("write-artifacts"):
-        os.makedirs(config.output_dir, exist_ok=True)
-        params_path = os.path.join(config.output_dir, "params.simth1")
-        history_path = os.path.join(config.output_dir, "history.txt")
-        report_path = os.path.join(config.output_dir, "report.txt")
-        save_params(params_path, params)
-        save_history(history_path, history)
-        with open(report_path, "w") as fh:
-            fh.write(format_report(bundle))
-
-        class_map_path = None
-        grid = dataset.grid_shape()
-        if grid is not None:
-            class_map_path = os.path.join(config.output_dir, "class_map.pgm")
-            export_class_map(
-                predictions.reshape(grid), config.channel.num_rx_antennas, class_map_path
-            )
-        else:
-            logger.warning("patch origins do not form a full grid; skipping class-map export")
+    prep = prepare_experiment(config, patches)
+    with stage("train"):
+        params, history = train(
+            prep.dataset, prep.geometry, prep.channel, config.training, kind=config.model_kind
+        )
+    with stage("evaluate"):
+        predictions, bundle = evaluate(
+            params, prep.dataset, prep.geometry, prep.channel, config.training
+        )
+    with stage("write-artifacts"):
+        params_path, history_path = write_training_artifacts(config, params, history)
+        report_path, class_map_path = write_evaluation_artifacts(
+            config, predictions, bundle, prep.dataset
+        )
     return ExperimentResult(
         metrics=bundle,
         params_path=params_path,

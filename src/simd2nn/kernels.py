@@ -1,115 +1,47 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Free-space coupling coefficients: the one place the formula is evaluated.
 
-The only kernel that matters at scale is the pairwise free-space coupling
-matrix (M x M complex entries, one transcendental-heavy evaluation each).
-``SIMD2NN_KERNELS`` selects the implementation:
+The coefficient for one source/destination pair is
 
-    auto   (default) numba if importable, else numpy
-    numba  require the jitted kernel
-    numpy  force the broadcast fallback
+    w = (d_x d_y cos(chi) / d) * (1/(2 pi d) - j/lambda) * exp(j 2 pi d / lambda)
 
-``SIMD2NN_THREADS`` caps the numba thread count. Both paths evaluate the
-same formula in the same operation order; they agree to a few ulp but are
-not guaranteed bit-identical to each other.
+with d the pair distance and chi the angle from the layer normal (the
+Rayleigh-Sommerfeld step of diffractive networks). The pairwise matrix
+between two point sets is M x M evaluations per geometry, broadcast in numpy.
 """
-
-import os
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
+from .errors import DomainError
 
 _TWO_PI = 2.0 * np.pi
-_threads_applied = False
 
 
-def active_backend() -> str:
-    """Resolve the kernel backend from the environment ('numba' or 'numpy')."""
-    choice = os.environ.get("SIMD2NN_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ConfigurationError(f"SIMD2NN_KERNELS must be auto|numba|numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigurationError("SIMD2NN_KERNELS=numba but numba is not installed")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
+def diffraction_coefficient(distance, cos_angle, pitch_x, pitch_y, wavelength):
+    """Field-transfer coefficient, broadcast over ``distance`` and ``cos_angle``.
 
-
-def _apply_thread_cap() -> None:
-    global _threads_applied
-    if _threads_applied or not HAVE_NUMBA:
-        return
-    cap = os.environ.get("SIMD2NN_THREADS")
-    if cap:
-        try:
-            n = max(1, int(cap))
-        except ValueError:
-            raise ConfigurationError(f"SIMD2NN_THREADS must be an integer, got {cap!r}") from None
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    _threads_applied = True
-
-
-def coupling_matrix_numpy(src_xyz, dst_xyz, pitch_x, pitch_y, wavelength):
-    """Free-space field-transfer coefficients, (n_dst, n_src), broadcast path."""
-    diff = dst_xyz[:, None, :] - src_xyz[None, :, :]
-    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
-    if np.any(dist <= 0.0):
-        raise DomainError("coincident source/destination points (distance <= 0)")
-    cos_ang = np.abs(diff[..., 2]) / dist
-    amp = (pitch_x * pitch_y) * cos_ang / dist
-    radial = amp / (_TWO_PI * dist) - 1j * (amp / wavelength)
-    return radial * np.exp(1j * (_TWO_PI / wavelength) * dist)
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(parallel=True, cache=True)
-    def _coupling_matrix_jit(src_xyz, dst_xyz, pitch_x, pitch_y, wavelength):  # pragma: no cover - jitted
-        n_dst = dst_xyz.shape[0]
-        n_src = src_xyz.shape[0]
-        out = np.empty((n_dst, n_src), dtype=np.complex128)
-        area = pitch_x * pitch_y
-        inv_lam = 1.0 / wavelength
-        k = _TWO_PI * inv_lam
-        for i in numba.prange(n_dst):
-            for j in range(n_src):
-                dx = dst_xyz[i, 0] - src_xyz[j, 0]
-                dy = dst_xyz[i, 1] - src_xyz[j, 1]
-                dz = dst_xyz[i, 2] - src_xyz[j, 2]
-                dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-                cos_ang = abs(dz) / dist
-                amp = area * cos_ang / dist
-                radial = complex(amp / (_TWO_PI * dist), -amp * inv_lam)
-                out[i, j] = radial * np.exp(1j * (k * dist))
-        return out
+    Scalar arguments give a scalar complex; arrays give a complex128 array.
+    """
+    if np.any(distance <= 0.0):
+        raise DomainError("distance must be positive (coincident source/destination points)")
+    if wavelength <= 0.0:
+        raise DomainError(f"wavelength must be positive, got {wavelength}")
+    amp = (pitch_x * pitch_y) * cos_angle / distance
+    radial = amp / (_TWO_PI * distance) - 1j * (amp / wavelength)
+    return radial * np.exp(1j * (_TWO_PI / wavelength) * distance)
 
 
 def coupling_matrix(src_xyz, dst_xyz, pitch_x, pitch_y, wavelength):
-    """Pairwise Eq-style coupling coefficients between two point sets.
+    """Pairwise coupling coefficients between two point sets.
 
     src_xyz: (n_src, 3) float64 positions in meters.
     dst_xyz: (n_dst, 3) float64 positions in meters.
     Returns (n_dst, n_src) complex128: rows index destinations so the
     forward pass is matrix @ field.
     """
-    src_xyz = np.ascontiguousarray(src_xyz, dtype=np.float64)
-    dst_xyz = np.ascontiguousarray(dst_xyz, dtype=np.float64)
-    if wavelength <= 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
-    if active_backend() == "numba":
-        _apply_thread_cap()
-        out = _coupling_matrix_jit(src_xyz, dst_xyz, float(pitch_x), float(pitch_y), float(wavelength))
-        if not np.all(np.isfinite(out)):
-            raise DomainError("coincident source/destination points (distance <= 0)")
-        return out
-    return coupling_matrix_numpy(src_xyz, dst_xyz, pitch_x, pitch_y, wavelength)
+    diff = dst_xyz[:, None, :] - src_xyz[None, :, :]
+    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+    # reject coincident points before cos(chi) divides by their zero distance
+    if np.any(dist <= 0.0):
+        raise DomainError("coincident source/destination points (distance <= 0)")
+    cos_ang = np.abs(diff[..., 2]) / dist
+    return diffraction_coefficient(dist, cos_ang, pitch_x, pitch_y, wavelength)

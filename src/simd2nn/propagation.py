@@ -1,13 +1,9 @@
 """Fixed free-space coupling between adjacent layers and from the feed.
 
-The coefficient for one atom pair is
-
-    w = (d_x d_y cos(chi) / d) * (1/(2 pi d) - j/lambda) * exp(j 2 pi d / lambda)
-
-with d the pair distance and chi the angle from the layer normal. All
-matrices depend only on geometry and are constants during training; with
+All matrices depend only on geometry and are constants during training; with
 uniform spacing every inter-layer matrix is identical, so it is built once
-and shared.
+and shared. The per-pair coefficient is ``kernels.diffraction_coefficient``,
+re-exported here.
 """
 
 from dataclasses import dataclass
@@ -15,46 +11,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BoundsError, DomainError
+from .errors import BoundsError
 from .geometry import SimGeometry, layer_positions, tx_position
-
-_TWO_PI = 2.0 * np.pi
-
-
-def diffraction_coefficient(
-    distance: float, cos_angle: float, pitch_x: float, pitch_y: float, wavelength: float
-) -> complex:
-    """Field-transfer coefficient for a single source/destination pair."""
-    if distance <= 0.0:
-        raise DomainError(f"distance must be positive, got {distance}")
-    if wavelength <= 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
-    amp = (pitch_x * pitch_y) * cos_angle / distance
-    radial = amp / (_TWO_PI * distance) - 1j * (amp / wavelength)
-    return complex(radial * np.exp(1j * (_TWO_PI * distance / wavelength)))
+from .kernels import diffraction_coefficient  # noqa: F401  (re-export)
 
 
-@dataclass(frozen=True)
-class TransmissionMatrix:
-    """Coupling from layer ``from_layer`` to layer ``from_layer + 1``.
+def build_transmission_matrix(geometry: SimGeometry, to_layer: int) -> np.ndarray:
+    """Coupling from layer ``to_layer - 1`` to layer ``to_layer``, shape (M, M).
 
     entries[m, m'] couples source atom m' to destination atom m, so the
     forward pass is entries @ field.
     """
-
-    entries: np.ndarray
-    from_layer: int
-
-
-def build_transmission_matrix(geometry: SimGeometry, to_layer: int) -> TransmissionMatrix:
     if not 1 <= to_layer <= geometry.num_layers:
         raise BoundsError(f"to_layer {to_layer} outside [1, {geometry.num_layers}]")
     src = layer_positions(geometry, to_layer - 1)
     dst = layer_positions(geometry, to_layer)
-    entries = kernels.coupling_matrix(
+    return kernels.coupling_matrix(
         src, dst, geometry.atom_pitch_x, geometry.atom_pitch_y, geometry.wavelength
     )
-    return TransmissionMatrix(entries=entries, from_layer=to_layer - 1)
 
 
 def build_input_vector(geometry: SimGeometry) -> np.ndarray:
@@ -78,7 +52,7 @@ def build_propagation(geometry: SimGeometry) -> Propagation:
     """Build the feed vector and the (shared) inter-layer matrix once."""
     return Propagation(
         w0=build_input_vector(geometry),
-        w_matrix=build_transmission_matrix(geometry, 1).entries,
+        w_matrix=build_transmission_matrix(geometry, 1),
     )
 
 

@@ -165,6 +165,18 @@ def test_cli_exit_codes(tmp_path):
     assert main(["patch", "--in", str(tmp_path / "missing.simsc1"), "--out", "x"]) == 2
 
 
+def test_cli_train_validates_before_data(tmp_path, capsys, monkeypatch):
+    import simd2nn.experiment as experiment
+
+    def no_data(config):
+        raise AssertionError("obtain_patches called before validation")
+
+    monkeypatch.setattr(experiment, "obtain_patches", no_data)
+    assert main(["train", "--lr", "-1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error: configure: learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_usage_is_config_error(capsys):
     assert main(["synth"]) == 1  # missing required --out
     assert "config error" in capsys.readouterr().err

@@ -2,44 +2,17 @@ import numpy as np
 import pytest
 
 from simd2nn import kernels
-from simd2nn.errors import ConfigurationError, DomainError
+from simd2nn.errors import DomainError
 
 
-def _random_points(rng, n, z):
-    pts = rng.uniform(-0.05, 0.05, size=(n, 3))
-    pts[:, 2] = z
-    return pts
-
-
-def test_numpy_and_numba_paths_agree(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(11)
-    src = _random_points(rng, 17, 0.0)
-    dst = _random_points(rng, 23, 0.0125)
-    monkeypatch.setenv("SIMD2NN_KERNELS", "numba")
-    fast = kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
-    monkeypatch.setenv("SIMD2NN_KERNELS", "numpy")
-    plain = kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
-    np.testing.assert_allclose(fast, plain, rtol=1e-13, atol=1e-16)
-
-
-def test_backend_resolution(monkeypatch):
-    monkeypatch.setenv("SIMD2NN_KERNELS", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("SIMD2NN_KERNELS", "bogus")
-    with pytest.raises(ConfigurationError):
-        kernels.active_backend()
-
-
-def test_coincident_points_rejected(monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_coincident_points_rejected():
+    # the DomainError must come before any divide-by-zero RuntimeWarning
     src = np.zeros((1, 3))
     dst = np.zeros((2, 3))
     dst[1, 2] = 0.0125
-    for backend in ("numpy", "numba") if kernels.HAVE_NUMBA else ("numpy",):
-        monkeypatch.setenv("SIMD2NN_KERNELS", backend)
-        with pytest.raises(DomainError):
-            kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
+    with pytest.raises(DomainError):
+        kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
 
 
 def test_matches_scalar_coefficient():
@@ -47,21 +20,7 @@ def test_matches_scalar_coefficient():
 
     src = np.array([[0.0, 0.0, 0.0]])
     dst = np.array([[0.0125, 0.0, 0.0125]])
-    out = kernels.coupling_matrix_numpy(src, dst, 0.0125, 0.0125, 0.025)
+    out = kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
     d = np.sqrt(2) * 0.0125
     expected = diffraction_coefficient(d, 0.0125 / d, 0.0125, 0.0125, 0.025)
     assert out[0, 0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_thread_cap_rejects_garbage(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("SIMD2NN_THREADS", "lots")
-    monkeypatch.setattr(kernels, "_threads_applied", False)
-    src = np.zeros((1, 3))
-    dst = np.array([[0.0, 0.0, 0.0125]])
-    monkeypatch.setenv("SIMD2NN_KERNELS", "numba")
-    with pytest.raises(ConfigurationError, match="SIMD2NN_THREADS"):
-        kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)
-    monkeypatch.setenv("SIMD2NN_THREADS", "2")
-    kernels.coupling_matrix(src, dst, 0.0125, 0.0125, 0.025)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simd2nn.errors import BoundsError, DomainError
-from simd2nn.geometry import GeometryConfig, build_geometry
+from simd2nn.geometry import TX_ANTENNA, GeometryConfig, build_geometry, pair_distance_angle
 from simd2nn.propagation import (
     build_input_vector,
     build_propagation,
@@ -42,23 +42,22 @@ def test_nonpositive_distance_rejected():
 def test_single_atom_matrix_is_axial_coefficient():
     geom = build_geometry(GeometryConfig(atoms_rows=1, atoms_cols=1))
     matrix = build_transmission_matrix(geom, 1)
-    assert matrix.entries.shape == (1, 1)
-    assert matrix.from_layer == 0
+    assert matrix.shape == (1, 1)
     expected = diffraction_coefficient(
         geom.layer_spacing, 1.0, geom.atom_pitch_x, geom.atom_pitch_y, geom.wavelength
     )
-    assert matrix.entries[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_matrix_is_symmetric_for_identical_layouts():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2))
-    entries = build_transmission_matrix(geom, 1).entries
+    entries = build_transmission_matrix(geom, 1)
     np.testing.assert_allclose(entries, entries.T, rtol=1e-13)
 
 
 def test_diagonal_entries_all_equal():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3))
-    entries = build_transmission_matrix(geom, 1).entries
+    entries = build_transmission_matrix(geom, 1)
     diag = np.diag(entries)
     np.testing.assert_allclose(diag, diag[0], rtol=1e-13)
 
@@ -66,8 +65,8 @@ def test_diagonal_entries_all_equal():
 def test_layer_independence():
     # identical up to coordinate rounding; the propagation bundle reuses one
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2, num_layers=3))
-    w1 = build_transmission_matrix(geom, 1).entries
-    w3 = build_transmission_matrix(geom, 3).entries
+    w1 = build_transmission_matrix(geom, 1)
+    w3 = build_transmission_matrix(geom, 3)
     np.testing.assert_allclose(w1, w3, rtol=1e-13)
 
 
@@ -89,7 +88,7 @@ def test_magnitude_decays_with_axial_distance():
 
 def test_matrix_entries_finite():
     geom = build_geometry(GeometryConfig(atoms_rows=4, atoms_cols=4))
-    entries = build_transmission_matrix(geom, 1).entries
+    entries = build_transmission_matrix(geom, 1)
     assert np.all(np.isfinite(entries.view(np.float64)))
 
 
@@ -113,13 +112,29 @@ def test_input_vector_equidistant_atoms_match():
 def test_propagation_bundle_consistency():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3))
     prop = build_propagation(geom)
-    np.testing.assert_array_equal(prop.w_matrix, build_transmission_matrix(geom, 1).entries)
+    np.testing.assert_array_equal(prop.w_matrix, build_transmission_matrix(geom, 1))
     np.testing.assert_array_equal(prop.w0, build_input_vector(geom))
+
+
+def test_coupling_matches_pair_oracle():
+    # every entry against the scalar coefficient at the per-pair geometry
+    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3))
+    prop = build_propagation(geom)
+    args = (geom.atom_pitch_x, geom.atom_pitch_y, geom.wavelength)
+    m = geom.atoms_per_layer
+    for src in range(m):
+        for dst in range(m):
+            d, cos = pair_distance_angle(geom, 0, src, dst)
+            expected = diffraction_coefficient(d, cos, *args)
+            assert prop.w_matrix[dst, src] == pytest.approx(expected, rel=1e-13)
+    for dst in range(m):
+        d, cos = pair_distance_angle(geom, TX_ANTENNA, 0, dst)
+        assert prop.w0[dst] == pytest.approx(diffraction_coefficient(d, cos, *args), rel=1e-13)
 
 
 def test_dump_matrix_text(tmp_path):
     geom = build_geometry(GeometryConfig(atoms_rows=1, atoms_cols=2))
-    entries = build_transmission_matrix(geom, 1).entries
+    entries = build_transmission_matrix(geom, 1)
     path = tmp_path / "w.txt"
     dump_matrix_text(entries, str(path))
     lines = path.read_text().strip().splitlines()
