@@ -7,7 +7,7 @@ matters and the shared reference constant cancels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,10 @@ class ChannelConfig:
     num_rx_antennas: int = 2
 
     def validate(self) -> None:
-        if not math.isfinite(self.rician_k_db):
-            raise ConfigurationError(f"rician_k_db must be finite, got {self.rician_k_db}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.num_rx_antennas < 2:
             raise ConfigurationError(
                 f"num_rx_antennas must be >= 2 (one per class), got {self.num_rx_antennas}"

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegeneratePatchError,
+    EncodingError,
     FormatError,
     LabelingError,
     ShapeError,
@@ -206,22 +207,27 @@ def encode_patches(
     m_atoms: int,
     phase_rotation: bool = True,
     rotation_angle: float = math.pi / 2,
-    downsample_factor: int | None = None,
 ) -> EncodedDataset:
     """Downsample, normalize, and augment patches into layer-0 vectors.
 
     With phase_rotation off both halves carry the same data (rotation angle
     0), keeping the layout and M fixed so ablations change exactly one
-    factor. All-zero patches are excluded with a warning.
+    factor. All-zero patches are excluded with a warning; a patch whose
+    block means are not finite (a NaN or infinite sample) raises
+    ``EncodingError`` naming its index and origin.
     """
     if not patches:
         raise ConfigurationError("no patches to encode")
     side = patches[0].samples.shape[0]
-    factor = downsample_factor if downsample_factor is not None else derive_downsample_factor(side, m_atoms)
+    factor = derive_downsample_factor(side, m_atoms)
     angle = rotation_angle if phase_rotation else 0.0
     feats, labels, origins = [], [], []
     for i, patch in enumerate(patches):
         vec = downsample(patch.samples, factor)
+        if not np.isfinite(vec).all():
+            raise EncodingError(
+                f"patch {i} at origin {patch.origin} has non-finite block means"
+            )
         try:
             vec = normalize(vec)
         except DegeneratePatchError:

@@ -8,7 +8,8 @@ classified by the receive antenna with the highest power.
 
 Everything here is linear in the input field, so the whole pass equals a
 single dense matrix product; the cached layer-by-layer path exists because
-the backward pass consumes the intermediate fields.
+the backward pass consumes the fields arriving at each layer. Products with
+the coupling matrix go through ``Propagation.apply``.
 """
 
 import struct
@@ -72,14 +73,14 @@ def encode_input(features: np.ndarray, m_atoms: int | None = None) -> EncodedInp
 
 @dataclass
 class ForwardCache:
-    """Intermediate wavefields of one pass, consumed by the backward pass.
+    """Fields of one pass that the backward pass consumes.
 
-    u[l] is the field leaving layer l (u[0] includes the input encoding);
-    t[l-1] = W u[l-1] is the field arriving at layer l before its response.
-    Batched caches carry a trailing batch axis.
+    t[l-1] = W u[l-1] is the field arriving at layer l before its response,
+    where u[l-1] is the field leaving the layer below (u[0] is the encoded
+    input times the feed). The fields leaving each layer are not kept: the
+    backward pass needs only t. Batched caches carry a trailing batch axis.
     """
 
-    u: np.ndarray  # (L+1, M) or (L+1, M, B)
     t: np.ndarray  # (L, M) or (L, M, B)
     z: np.ndarray  # (K,) or (K, B), pre-noise output
 
@@ -104,20 +105,19 @@ def forward_batch(
             f"channel expects {realization.h_matrix.shape[1]} atoms, model has {m}"
         )
     batch = features.shape[1]
-    u = np.empty((n_layers + 1, m, batch), dtype=np.complex128)
     t = np.empty((n_layers, m, batch), dtype=np.complex128)
-    u[0] = features * (tx_amplitude * propagation.w0)[:, None]
-    for l in range(1, n_layers + 1):
-        t[l - 1] = propagation.w_matrix @ u[l - 1]
-        u[l] = resp[l - 1][:, None] * t[l - 1]
-    z = realization.h_matrix @ u[n_layers]
+    u = features * (tx_amplitude * propagation.w0)[:, None]
+    for l in range(n_layers):
+        t[l] = propagation.apply(u)
+        u = resp[l][:, None] * t[l]
+    z = realization.h_matrix @ u
     y = z.copy()
     if noise_rngs is not None:
         if len(noise_rngs) != batch:
             raise ShapeError(f"need {batch} noise streams, got {len(noise_rngs)}")
         for b, rng in enumerate(noise_rngs):
             y[:, b] = add_awgn(z[:, b], realization.noise_sigma, rng)
-    return y, ForwardCache(u=u, t=t, z=z)
+    return y, ForwardCache(t=t, z=z)
 
 
 def forward(
@@ -133,7 +133,7 @@ def forward(
     y, cache = forward_batch(
         params, encoded.phi0_diag[:, None], propagation, realization, tx_amplitude, rngs
     )
-    return y[:, 0], ForwardCache(u=cache.u[:, :, 0], t=cache.t[:, :, 0], z=cache.z[:, 0])
+    return y[:, 0], ForwardCache(t=cache.t[:, :, 0], z=cache.z[:, 0])
 
 
 def classify(y: np.ndarray) -> int:

@@ -2,8 +2,10 @@
 
 All matrices depend only on geometry and are constants during training; with
 uniform spacing every inter-layer matrix is identical, so it is built once
-and shared. The per-pair coefficient is ``kernels.diffraction_coefficient``,
-re-exported here.
+and shared. ``Propagation`` owns the products with that matrix W: the
+forward and backward passes call ``apply`` and ``apply_adjoint`` and never
+multiply by W themselves. The per-pair coefficient is
+``kernels.diffraction_coefficient``, re-exported here.
 """
 
 from dataclasses import dataclass
@@ -46,6 +48,19 @@ class Propagation:
 
     w0: np.ndarray        # (M,) antenna -> layer 0
     w_matrix: np.ndarray  # (M, M) layer l-1 -> layer l, shared across l
+
+    def apply(self, fields: np.ndarray) -> np.ndarray:
+        """W @ fields: carry (M,) or (M, B) fields from one layer to the next."""
+        return self.w_matrix @ fields
+
+    def apply_adjoint(self, fields: np.ndarray) -> np.ndarray:
+        """W^H @ fields, without materialising the conjugate transpose of W.
+
+        conj(W^T conj(v)) lets BLAS read W transposed in place. It assumes no
+        symmetry of W; the tests check it equals ``w_matrix.conj().T @ fields``
+        bit for bit.
+        """
+        return np.conj(self.w_matrix.T @ np.conj(fields))
 
 
 def build_propagation(geometry: SimGeometry) -> Propagation:

@@ -6,9 +6,11 @@ Loss is a cross-entropy over normalized received powers,
 
 which is invariant to uniform power scaling, matching the argmax readout.
 
-The backward pass is reverse-mode through the cached fields. Adjoint
-convention: for every complex intermediate v we carry a_v defined by
-d(loss) = 2 Re{ a_v^H dv }. From d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
+The backward pass is reverse-mode through the cached fields arriving at
+each layer (``ForwardCache.t``); its only product with the coupling matrix
+is ``Propagation.apply_adjoint``. Adjoint convention: for every complex
+intermediate v we carry a_v defined by d(loss) = 2 Re{ a_v^H dv }. From
+d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
 
     a_y,k   = (dloss/d|y_k|^2) y_k,  dloss/d|y_k|^2 = 1/S - 1{k=label}/(|y_label|^2+eps)
     a_uL    = H^H a_y
@@ -42,6 +44,10 @@ from .propagation import Propagation, build_propagation
 from . import seeding
 
 
+# Columns per evaluation forward pass; it bounds the memory of the cached fields.
+PREDICT_BATCH = 256
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
@@ -61,10 +67,20 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.sample_rate <= 1.0:
             raise ConfigurationError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
-        if self.learning_rate <= 0.0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("learning_rate", "eps", "softmax_epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
 
 
 def loss(y: np.ndarray, label: int, eps: float = 1e-12) -> float:
@@ -102,8 +118,8 @@ def backward_batch(
     """
     resp = params.layer_responses()
     n_layers, m = resp.shape
-    if cache.u.shape[:2] != (n_layers + 1, m):
-        raise ShapeError(f"cache shape {cache.u.shape} does not match ({n_layers + 1}, {m}, B)")
+    if cache.t.shape[:2] != (n_layers, m):
+        raise ShapeError(f"cache shape {cache.t.shape} does not match ({n_layers}, {m}, B)")
     batch = y.shape[1]
     losses, g = _power_grad(y, labels, eps)
     a_u = h_matrix.conj().T @ (g * y)
@@ -120,7 +136,7 @@ def backward_batch(
         else:
             grad[l - 1] = 2.0 * (a_u * np.conj(t)).sum(axis=1) / batch
         a_t = np.conj(resp[l - 1])[:, None] * a_u
-        a_u = propagation.w_matrix.conj().T @ a_t
+        a_u = propagation.apply_adjoint(a_t)
     return losses, grad
 
 
@@ -134,7 +150,7 @@ def backward(
     eps: float = 1e-12,
 ) -> np.ndarray:
     """Single-patch gradient of the loss with respect to the parameters."""
-    batched = ForwardCache(u=cache.u[:, :, None], t=cache.t[:, :, None], z=cache.z[:, None])
+    batched = ForwardCache(t=cache.t[:, :, None], z=cache.z[:, None])
     _, grad = backward_batch(
         batched, params, propagation, h_matrix, y[:, None], np.array([label]), eps
     )
@@ -263,13 +279,12 @@ def predict(
     geometry: SimGeometry,
     channel: ChannelState,
     cfg: TrainConfig,
-    batch_size: int = 256,
 ) -> np.ndarray:
     """Stage 2: classify every patch with fresh evaluation-noise draws."""
     prop = build_propagation(geometry)
     preds = np.empty(len(dataset), dtype=np.int64)
-    for start in range(0, len(dataset), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(dataset)))
+    for start in range(0, len(dataset), PREDICT_BATCH):
+        idx = np.arange(start, min(start + PREDICT_BATCH, len(dataset)))
         rngs = _noise_streams(cfg, seeding.EVAL_NOISE, idx)
         y, _ = forward_batch(
             params, dataset.features[idx].T, prop, channel.realization, channel.tx_amplitude, rngs

@@ -111,6 +111,17 @@ def test_config_validation():
         ChannelConfig(distance=-5.0).validate()
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["carrier_freq", "distance", "atmospheric_loss_db", "environment_loss_db",
+     "noise_power_dbm", "tx_power_dbm"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_nonfinite_floats(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ChannelConfig(**{field: value}).validate()
+
+
 def test_realize_channel_bundles_tx_amplitude():
     state = realize_channel(ChannelConfig(tx_power_dbm=20.0), 4, stream(0, CHANNEL))
     assert state.tx_amplitude == pytest.approx(10 ** ((20.0 - 30.0) / 20.0))

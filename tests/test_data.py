@@ -223,7 +223,7 @@ def test_encode_skips_degenerate_patch(caplog):
     good = IqPatch(samples=np.ones((8, 8), dtype=np.complex64), origin=(0, 0), label=1)
     dead = IqPatch(samples=np.zeros((8, 8), dtype=np.complex64), origin=(0, 8), label=0)
     with caplog.at_level(logging.WARNING):
-        ds = encode_patches([good, dead], m_atoms=8, downsample_factor=4)
+        ds = encode_patches([good, dead], m_atoms=8)
     assert len(ds) == 1
     assert any("all-zero" in rec.message for rec in caplog.records)
 

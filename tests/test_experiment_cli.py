@@ -6,7 +6,7 @@ import pytest
 
 from simd2nn.cli import main
 from simd2nn.config import DataConfig, ExperimentConfig, SynthConfig
-from simd2nn.data import load_dataset, load_scene
+from simd2nn.data import load_dataset, load_scene, save_dataset
 from simd2nn.errors import ConfigurationError
 from simd2nn.experiment import format_ablation_table, run_ablation_suite, run_experiment
 from simd2nn.geometry import GeometryConfig
@@ -174,6 +174,53 @@ def test_cli_train_validates_before_data(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiment, "obtain_patches", no_data)
     assert main(["train", "--lr", "-1", "--out-dir", str(tmp_path / "out")]) == 1
     assert "config error: configure: learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--lr", "nan"], "learning_rate"),
+        (["--tx-power", "nan"], "tx_power_dbm"),
+        (["--tx-power", "inf"], "tx_power_dbm"),
+        (["--link-distance", "nan"], "distance"),
+        (["--config", "{cfg}"], "weight_decay"),
+    ],
+)
+def test_cli_run_rejects_nonfinite_settings_before_data(tmp_path, capsys, monkeypatch, flags, name):
+    import simd2nn.experiment as experiment
+
+    def no_data(config):
+        raise AssertionError("obtain_patches called before validation")
+
+    monkeypatch.setattr(experiment, "obtain_patches", no_data)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[training]\nweight_decay = -5\n")
+    flags = [f.format(cfg=cfg_path) for f in flags]
+    assert main(["run", *flags, "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"config error: configure: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_fails_on_nonfinite_sample(tmp_path, capsys):
+    scene_path = tmp_path / "scene.simsc1"
+    data_path = tmp_path / "data.simiq1"
+    assert main(["synth", "--out", str(scene_path), "--height", "192", "--width", "192"]) == 0
+    assert main([
+        "patch", "--in", str(scene_path), "--out", str(data_path),
+        "--side", "64", "--stride", "32",
+    ]) == 0
+    patches = load_dataset(str(data_path))
+    assert len(patches) == 25
+    patches[7].samples[3, 5] = np.nan
+    save_dataset(str(data_path), patches)
+    capsys.readouterr()
+    assert main([
+        "train", "--data", str(data_path), "--atoms-rows", "4", "--atoms-cols", "8",
+        "--layers", "1", "--epochs", "1", "--out-dir", str(tmp_path / "out"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "encode:" in err and f"origin {patches[7].origin}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -84,7 +84,6 @@ def test_forward_matches_dense_oracle():
         y, cache = forward(PhaseParams(theta), encode_input(feats), prop, real, 0.8)
         expected = dense_oracle(theta, feats, prop, real.h_matrix, 0.8)
         np.testing.assert_allclose(y, expected, rtol=1e-12)
-        assert cache.u.shape == (n_layers + 1, m)
         assert cache.t.shape == (n_layers, m)
 
 

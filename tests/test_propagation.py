@@ -1,15 +1,21 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from simd2nn.channel import ChannelRealization
 from simd2nn.errors import BoundsError, DomainError
 from simd2nn.geometry import TX_ANTENNA, GeometryConfig, build_geometry, pair_distance_angle
+from simd2nn.network import PhaseParams, forward_batch
 from simd2nn.propagation import (
+    Propagation,
     build_input_vector,
     build_propagation,
     build_transmission_matrix,
     diffraction_coefficient,
     dump_matrix_text,
 )
+from simd2nn.training import backward_batch
 
 AXIAL = dict(distance=0.0125, cos_angle=1.0, pitch_x=0.0125, pitch_y=0.0125, wavelength=0.025)
 
@@ -130,6 +136,55 @@ def test_coupling_matches_pair_oracle():
     for dst in range(m):
         d, cos = pair_distance_angle(geom, TX_ANTENNA, 0, dst)
         assert prop.w0[dst] == pytest.approx(diffraction_coefficient(d, cos, *args), rel=1e-13)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("source", ["2x3", "32x64", "random"])
+def test_apply_and_adjoint_match_dense_products(source):
+    rng = np.random.default_rng(11)
+    if source == "random":
+        w = _complex_normal(rng, (40, 40))
+        assert not np.array_equal(w, w.T)
+        prop = Propagation(w0=np.ones(40, dtype=complex), w_matrix=w)
+    else:
+        rows, cols = map(int, source.split("x"))
+        prop = build_propagation(build_geometry(GeometryConfig(atoms_rows=rows, atoms_cols=cols)))
+    m = prop.w_matrix.shape[0]
+    # 29 is the epoch tail batch of the default run (221 training patches)
+    for width in (1, 29, 64):
+        v = _complex_normal(rng, (m, width))
+        assert np.array_equal(prop.apply(v), prop.w_matrix @ v)
+        assert np.array_equal(prop.apply_adjoint(v), prop.w_matrix.conj().T @ v)
+
+
+@dataclass(frozen=True)
+class CountingPropagation(Propagation):
+    calls: dict = field(default_factory=lambda: {"apply": 0, "apply_adjoint": 0})
+
+    def apply(self, fields):
+        self.calls["apply"] += 1
+        return super().apply(fields)
+
+    def apply_adjoint(self, fields):
+        self.calls["apply_adjoint"] += 1
+        return super().apply_adjoint(fields)
+
+
+def test_one_step_uses_one_product_per_layer_each_way():
+    n_layers, batch = 3, 5
+    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3, num_layers=n_layers))
+    base = build_propagation(geom)
+    prop = CountingPropagation(w0=base.w0, w_matrix=base.w_matrix)
+    rng = np.random.default_rng(12)
+    m = geom.atoms_per_layer
+    real = ChannelRealization(h_matrix=_complex_normal(rng, (2, m)), noise_sigma=0.0)
+    params = PhaseParams(theta=rng.uniform(0, 2 * np.pi, (n_layers, m)))
+    y, cache = forward_batch(params, _complex_normal(rng, (m, batch)), prop, real, 1.0)
+    backward_batch(cache, params, prop, real.h_matrix, y, np.arange(batch) % 2)
+    assert prop.calls == {"apply": n_layers, "apply_adjoint": n_layers}
 
 
 def test_dump_matrix_text(tmp_path):

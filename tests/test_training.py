@@ -225,6 +225,27 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("weight_decay", -5.0),
+        ("weight_decay", float("nan")),
+        ("beta1", 1.0),
+        ("beta2", -0.1),
+        ("beta2", float("nan")),
+        ("eps", 0.0),
+        ("eps", float("inf")),
+        ("softmax_epsilon", float("nan")),
+        ("softmax_epsilon", -1e-12),
+    ],
+)
+def test_train_config_rejects_nonfinite_or_out_of_range(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value}).validate()
+
+
 def test_untrained_accuracy_near_chance():
     # balanced random features, untrained params: prediction is uninformative
     accs = []
