@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import seeding
-from .config import resolve_config
+from .config import DataConfig, ExperimentConfig, SynthConfig, parser_for, resolve_config
 from .data import extract_patches, load_scene, save_dataset, save_scene, synthesize_scene
 from .errors import ConfigurationError, FormatError, SimError
 from .experiment import (
@@ -36,53 +36,57 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+# Override flags: flag -> ((section, key) it sets, help, accepted words).
+# Argparse checks each value, with the key's schema parser as its type or
+# against the accepted words, so a bad value gets argparse's usage message;
+# the override then holds the schema parser's result.
+_COMMON_FLAGS = {
+    "--seed": (("experiment", "seed"), "master seed", None),
+    "--out-dir": (("experiment", "out_dir"), "artifact directory", None),
+    "--layers": (("geometry", "layers"), "trainable layer count", None),
+    "--atoms-rows": (("geometry", "atoms_rows"), None, None),
+    "--atoms-cols": (("geometry", "atoms_cols"), None, None),
+    "--tx-power": (("channel", "tx_power_dbm"), "transmit power, dBm", None),
+    "--link-distance": (("channel", "link_distance_m"), "downlink distance, m", None),
+    "--model": (("experiment", "model"), None, ("sim", "digital")),
+    "--phase-rotation": (("data", "phase_rotation"), "quadrature second input half", ("on", "off")),
+}
+_TRAINING_FLAGS = {
+    "--epochs": (("training", "epochs"), None, None),
+    "--batch": (("training", "batch"), None, None),
+    "--lr": (("training", "lr"), None, None),
+    "--sample-rate": (("training", "sample_rate"), None, None),
+    "--train-noise": (("training", "train_noise"), None, ("on", "off")),
+}
+_DATA_FLAGS = {
+    "--data": (
+        ("data", "dataset"),
+        "patch dataset (.simiq1); defaults to the config data block",
+        None,
+    ),
+}
+OVERRIDE_FLAGS = {**_COMMON_FLAGS, **_TRAINING_FLAGS, **_DATA_FLAGS}
+
+
+def _add_flags(parser, flags: dict) -> None:
+    for flag, (key, help_text, words) in flags.items():
+        type_ = None if words else parser_for(key)
+        parser.add_argument(flag, type=type_, choices=words, help=help_text)
+
+
 def _add_config_overrides(parser, training=True):
     parser.add_argument("--config", help="config file (key = value under [section] headers)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out-dir", help="artifact directory")
-    parser.add_argument("--layers", type=int, help="trainable layer count")
-    parser.add_argument("--atoms-rows", type=int)
-    parser.add_argument("--atoms-cols", type=int)
-    parser.add_argument("--tx-power", type=float, help="transmit power, dBm")
-    parser.add_argument("--link-distance", type=float, help="downlink distance, m")
-    parser.add_argument("--model", choices=["sim", "digital"])
-    parser.add_argument(
-        "--phase-rotation", choices=["on", "off"], help="quadrature second input half"
-    )
+    _add_flags(parser, _COMMON_FLAGS)
     if training:
-        parser.add_argument("--epochs", type=int)
-        parser.add_argument("--batch", type=int)
-        parser.add_argument("--lr", type=float)
-        parser.add_argument("--sample-rate", type=float)
-        parser.add_argument("--train-noise", choices=["on", "off"])
+        _add_flags(parser, _TRAINING_FLAGS)
 
 
 def _overrides_from_args(args) -> dict:
-    mapping = {
-        "seed": ("experiment", "seed"),
-        "out_dir": ("experiment", "out_dir"),
-        "layers": ("geometry", "layers"),
-        "atoms_rows": ("geometry", "atoms_rows"),
-        "atoms_cols": ("geometry", "atoms_cols"),
-        "tx_power": ("channel", "tx_power_dbm"),
-        "link_distance": ("channel", "link_distance_m"),
-        "model": ("experiment", "model"),
-        "epochs": ("training", "epochs"),
-        "batch": ("training", "batch"),
-        "lr": ("training", "lr"),
-        "sample_rate": ("training", "sample_rate"),
-    }
     overrides = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+    for flag, (key, _, _) in OVERRIDE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "train_noise", None) is not None:
-        overrides[("training", "train_noise")] = args.train_noise == "on"
-    if getattr(args, "phase_rotation", None) is not None:
-        overrides[("data", "phase_rotation")] = args.phase_rotation == "on"
-    if getattr(args, "data", None) is not None:
-        overrides[("data", "dataset")] = args.data
+            overrides[key] = parser_for(key)(value)
     return overrides
 
 
@@ -195,32 +199,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simd2nn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synth, data = SynthConfig(), DataConfig()
     p = sub.add_parser("synth", help="generate a synthetic IQ scene (.simsc1)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=1600)
-    p.add_argument("--width", type=int, default=1600)
-    p.add_argument("--layout", choices=["half-split", "blobs"], default="half-split")
-    p.add_argument("--ocean-sigma", type=float, default=0.3)
-    p.add_argument("--land-sigma", type=float, default=1.0)
-    p.add_argument("--texture", choices=["on", "off"], default="on")
+    p.add_argument("--seed", type=int, default=ExperimentConfig().master_seed)
+    p.add_argument("--height", type=int, default=synth.height)
+    p.add_argument("--width", type=int, default=synth.width)
+    p.add_argument("--layout", choices=["half-split", "blobs"], default=synth.layout)
+    p.add_argument("--ocean-sigma", type=float, default=synth.ocean_sigma)
+    p.add_argument("--land-sigma", type=float, default=synth.land_sigma)
+    texture = "on" if synth.phase_texture else "off"
+    p.add_argument("--texture", choices=["on", "off"], default=texture)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("patch", help="cut a scene into a patch dataset (.simiq1)")
     p.add_argument("--in", required=True, dest="in")
     p.add_argument("--out", required=True)
-    p.add_argument("--side", type=int, default=128)
-    p.add_argument("--stride", type=int, default=32)
+    p.add_argument("--side", type=int, default=data.patch_side)
+    p.add_argument("--stride", type=int, default=data.stride)
     p.set_defaults(func=_cmd_patch)
 
     p = sub.add_parser("train", help="offline training: fit phases on a patch sample")
-    p.add_argument("--data", help="patch dataset (.simiq1); defaults to the config data block")
+    _add_flags(p, _DATA_FLAGS)
     _add_config_overrides(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="deploy trained parameters over a dataset")
     p.add_argument("--params", required=True, help="trained parameter file (.simth1)")
-    p.add_argument("--data", help="patch dataset (.simiq1); defaults to the config data block")
+    _add_flags(p, _DATA_FLAGS)
     _add_config_overrides(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -3,7 +3,8 @@
 Config files are flat ``key = value`` lines under ``[section]`` headers
 ('#' starts a comment). Resolution order is built-in defaults, then the
 file, then command-line overrides; unknown sections or keys are rejected
-with the offending line number.
+with the offending line number. ``_SCHEMA`` ties each key to the field it
+sets and the parser of its value; nothing else names a key's field.
 """
 
 import math
@@ -61,57 +62,51 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip(), 10)
-
-
-def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-# (section, key) -> parser. The key names are the file-format contract.
+# (section, key) -> (dotted ExperimentConfig field path, parser). The key
+# names are the file-format contract.
 _SCHEMA = {
-    ("geometry", "lambda_m"): _parse_float,
-    ("geometry", "t_sim_m"): _parse_float,
-    ("geometry", "layers"): _parse_int,
-    ("geometry", "atoms_rows"): _parse_int,
-    ("geometry", "atoms_cols"): _parse_int,
-    ("geometry", "tx_distance_m"): _parse_float,
-    ("channel", "freq_hz"): _parse_float,
-    ("channel", "link_distance_m"): _parse_float,
-    ("channel", "rician_k_db"): _parse_float,
-    ("channel", "la_db"): _parse_float,
-    ("channel", "le_db"): _parse_float,
-    ("channel", "noise_dbm"): _parse_float,
-    ("channel", "tx_power_dbm"): _parse_float,
-    ("channel", "rx_antennas"): _parse_int,
-    ("channel", "channel_seed"): _parse_int,
-    ("training", "epochs"): _parse_int,
-    ("training", "batch"): _parse_int,
-    ("training", "lr"): _parse_float,
-    ("training", "weight_decay"): _parse_float,
-    ("training", "sample_rate"): _parse_float,
-    ("training", "train_noise"): _parse_bool,
-    ("data", "scene"): _parse_str,
-    ("data", "dataset"): _parse_str,
-    ("data", "synth_height"): _parse_int,
-    ("data", "synth_width"): _parse_int,
-    ("data", "synth_layout"): _parse_str,
-    ("data", "ocean_sigma"): _parse_float,
-    ("data", "land_sigma"): _parse_float,
-    ("data", "phase_texture"): _parse_bool,
-    ("data", "patch_side"): _parse_int,
-    ("data", "stride"): _parse_int,
-    ("data", "phase_rotation"): _parse_bool,
-    ("data", "rotation_angle_deg"): _parse_float,
-    ("experiment", "seed"): _parse_int,
-    ("experiment", "out_dir"): _parse_str,
-    ("experiment", "model"): _parse_str,
+    ("geometry", "lambda_m"): ("geometry.wavelength", float),
+    ("geometry", "t_sim_m"): ("geometry.sim_thickness", float),
+    ("geometry", "layers"): ("geometry.num_layers", int),
+    ("geometry", "atoms_rows"): ("geometry.atoms_rows", int),
+    ("geometry", "atoms_cols"): ("geometry.atoms_cols", int),
+    ("geometry", "tx_distance_m"): ("geometry.tx_antenna_distance", float),
+    ("channel", "freq_hz"): ("channel.carrier_freq", float),
+    ("channel", "link_distance_m"): ("channel.distance", float),
+    ("channel", "rician_k_db"): ("channel.rician_k_db", float),
+    ("channel", "la_db"): ("channel.atmospheric_loss_db", float),
+    ("channel", "le_db"): ("channel.environment_loss_db", float),
+    ("channel", "noise_dbm"): ("channel.noise_power_dbm", float),
+    ("channel", "tx_power_dbm"): ("channel.tx_power_dbm", float),
+    ("channel", "rx_antennas"): ("channel.num_rx_antennas", int),
+    ("channel", "channel_seed"): ("channel_seed", int),
+    ("training", "epochs"): ("training.epochs", int),
+    ("training", "batch"): ("training.batch_size", int),
+    ("training", "lr"): ("training.learning_rate", float),
+    ("training", "weight_decay"): ("training.weight_decay", float),
+    ("training", "sample_rate"): ("training.sample_rate", float),
+    ("training", "train_noise"): ("training.train_noise", _parse_bool),
+    ("data", "scene"): ("data.scene_path", str),
+    ("data", "dataset"): ("data.dataset_path", str),
+    ("data", "synth_height"): ("data.synth.height", int),
+    ("data", "synth_width"): ("data.synth.width", int),
+    ("data", "synth_layout"): ("data.synth.layout", str),
+    ("data", "ocean_sigma"): ("data.synth.ocean_sigma", float),
+    ("data", "land_sigma"): ("data.synth.land_sigma", float),
+    ("data", "phase_texture"): ("data.synth.phase_texture", _parse_bool),
+    ("data", "patch_side"): ("data.patch_side", int),
+    ("data", "stride"): ("data.stride", int),
+    ("data", "phase_rotation"): ("data.phase_rotation", _parse_bool),
+    ("data", "rotation_angle_deg"): ("data.rotation_angle_deg", float),
+    ("experiment", "seed"): ("master_seed", int),
+    ("experiment", "out_dir"): ("output_dir", str),
+    ("experiment", "model"): ("model_kind", str),
 }
+
+
+def parser_for(section_key: tuple[str, str]):
+    """The parser that turns a value's text into the setting for (section, key)."""
+    return _SCHEMA[section_key][1]
 
 
 def parse_config_file(path: str) -> dict:
@@ -133,90 +128,34 @@ def parse_config_file(path: str) -> dict:
             if section is None:
                 raise ConfigurationError(f"{path}:{lineno}: key outside any [section]")
             key, text = (part.strip() for part in line.split("=", 1))
-            parser = _SCHEMA.get((section, key))
-            if parser is None:
+            if (section, key) not in _SCHEMA:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r} in section [{section}]")
             try:
-                values[(section, key)] = parser(text)
+                values[(section, key)] = parser_for((section, key))(text)
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
+def _replace_at(obj, path: list[str], value):
+    """Copy of a nested frozen dataclass with the field at path set to value."""
+    head, *rest = path
+    if rest:
+        value = _replace_at(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
 def apply_values(base: ExperimentConfig, values: dict) -> ExperimentConfig:
     """Overlay {(section, key): value} entries onto a config."""
-    for section_key in values:
-        if section_key not in _SCHEMA:
-            section, key = section_key
+    cfg = base
+    for (section, key), value in values.items():
+        if (section, key) not in _SCHEMA:
             raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-    g, c, t, d, synth = base.geometry, base.channel, base.training, base.data, base.data.synth
-
-    def val(section, key, fallback):
-        return values.get((section, key), fallback)
-
-    g = replace(
-        g,
-        wavelength=val("geometry", "lambda_m", g.wavelength),
-        sim_thickness=val("geometry", "t_sim_m", g.sim_thickness),
-        num_layers=val("geometry", "layers", g.num_layers),
-        atoms_rows=val("geometry", "atoms_rows", g.atoms_rows),
-        atoms_cols=val("geometry", "atoms_cols", g.atoms_cols),
-        tx_antenna_distance=val("geometry", "tx_distance_m", g.tx_antenna_distance),
-    )
-    c = replace(
-        c,
-        carrier_freq=val("channel", "freq_hz", c.carrier_freq),
-        distance=val("channel", "link_distance_m", c.distance),
-        rician_k_db=val("channel", "rician_k_db", c.rician_k_db),
-        atmospheric_loss_db=val("channel", "la_db", c.atmospheric_loss_db),
-        environment_loss_db=val("channel", "le_db", c.environment_loss_db),
-        noise_power_dbm=val("channel", "noise_dbm", c.noise_power_dbm),
-        tx_power_dbm=val("channel", "tx_power_dbm", c.tx_power_dbm),
-        num_rx_antennas=val("channel", "rx_antennas", c.num_rx_antennas),
-    )
-    master_seed = val("experiment", "seed", base.master_seed)
-    t = replace(
-        t,
-        epochs=val("training", "epochs", t.epochs),
-        batch_size=val("training", "batch", t.batch_size),
-        learning_rate=val("training", "lr", t.learning_rate),
-        weight_decay=val("training", "weight_decay", t.weight_decay),
-        sample_rate=val("training", "sample_rate", t.sample_rate),
-        train_noise=val("training", "train_noise", t.train_noise),
-        master_seed=master_seed,
-    )
-    synth = replace(
-        synth,
-        height=val("data", "synth_height", synth.height),
-        width=val("data", "synth_width", synth.width),
-        layout=val("data", "synth_layout", synth.layout),
-        ocean_sigma=val("data", "ocean_sigma", synth.ocean_sigma),
-        land_sigma=val("data", "land_sigma", synth.land_sigma),
-        phase_texture=val("data", "phase_texture", synth.phase_texture),
-    )
-    d = replace(
-        d,
-        scene_path=val("data", "scene", d.scene_path),
-        dataset_path=val("data", "dataset", d.dataset_path),
-        synth=synth,
-        patch_side=val("data", "patch_side", d.patch_side),
-        stride=val("data", "stride", d.stride),
-        phase_rotation=val("data", "phase_rotation", d.phase_rotation),
-        rotation_angle_deg=val("data", "rotation_angle_deg", d.rotation_angle_deg),
-    )
-    model_kind = val("experiment", "model", base.model_kind)
-    if model_kind not in ("sim", "digital"):
-        raise ConfigurationError(f"model must be sim or digital, got {model_kind!r}")
-    return ExperimentConfig(
-        geometry=g,
-        channel=c,
-        training=t,
-        data=d,
-        model_kind=model_kind,
-        output_dir=val("experiment", "out_dir", base.output_dir),
-        master_seed=master_seed,
-        channel_seed=val("channel", "channel_seed", base.channel_seed),
-    )
+        cfg = _replace_at(cfg, _SCHEMA[(section, key)][0].split("."), value)
+    if cfg.model_kind not in ("sim", "digital"):
+        raise ConfigurationError(f"model must be sim or digital, got {cfg.model_kind!r}")
+    # the experiment seed is also the training seed
+    return _replace_at(cfg, ["training", "master_seed"], cfg.master_seed)
 
 
 def resolve_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:

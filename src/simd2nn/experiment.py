@@ -22,6 +22,7 @@ from .config import ExperimentConfig
 from .data import (
     EncodedDataset,
     IqPatch,
+    derive_downsample_factor,
     encode_patches,
     extract_patches,
     load_dataset,
@@ -104,13 +105,16 @@ def prepare_experiment(
 ) -> PreparedExperiment:
     """Validate the config, then obtain patches, encode them and draw the channel.
 
-    Validation runs before any data work. Errors carry the failing stage name
-    (configure, data, encode, channel).
+    Validation runs before any data work; when the patches are cut here, it
+    includes the pairing of patch side and atom count. Errors carry the
+    failing stage name (configure, data, encode, channel).
     """
     with stage("configure"):
         geometry = build_geometry(config.geometry)
         config.channel.validate()
         config.training.validate()
+        if patches is None and config.data.dataset_path is None:
+            derive_downsample_factor(config.data.patch_side, geometry.atoms_per_layer)
     with stage("data"):
         if patches is None:
             patches = obtain_patches(config)

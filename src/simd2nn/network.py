@@ -82,7 +82,6 @@ class ForwardCache:
     """
 
     t: np.ndarray  # (L, M) or (L, M, B)
-    z: np.ndarray  # (K,) or (K, B), pre-noise output
 
 
 def forward_batch(
@@ -110,14 +109,13 @@ def forward_batch(
     for l in range(n_layers):
         t[l] = propagation.apply(u)
         u = resp[l][:, None] * t[l]
-    z = realization.h_matrix @ u
-    y = z.copy()
+    y = realization.h_matrix @ u
     if noise_rngs is not None:
         if len(noise_rngs) != batch:
             raise ShapeError(f"need {batch} noise streams, got {len(noise_rngs)}")
         for b, rng in enumerate(noise_rngs):
-            y[:, b] = add_awgn(z[:, b], realization.noise_sigma, rng)
-    return y, ForwardCache(t=t, z=z)
+            y[:, b] = add_awgn(y[:, b], realization.noise_sigma, rng)
+    return y, ForwardCache(t=t)
 
 
 def forward(
@@ -133,7 +131,7 @@ def forward(
     y, cache = forward_batch(
         params, encoded.phi0_diag[:, None], propagation, realization, tx_amplitude, rngs
     )
-    return y[:, 0], ForwardCache(t=cache.t[:, :, 0], z=cache.z[:, 0])
+    return y[:, 0], ForwardCache(t=cache.t[:, :, 0])
 
 
 def classify(y: np.ndarray) -> int:

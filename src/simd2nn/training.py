@@ -135,8 +135,9 @@ def backward_batch(
             )
         else:
             grad[l - 1] = 2.0 * (a_u * np.conj(t)).sum(axis=1) / batch
-        a_t = np.conj(resp[l - 1])[:, None] * a_u
-        a_u = propagation.apply_adjoint(a_t)
+        if l > 1:  # no parameter sits below layer 1, so its adjoint is never read
+            a_t = np.conj(resp[l - 1])[:, None] * a_u
+            a_u = propagation.apply_adjoint(a_t)
     return losses, grad
 
 
@@ -150,7 +151,7 @@ def backward(
     eps: float = 1e-12,
 ) -> np.ndarray:
     """Single-patch gradient of the loss with respect to the parameters."""
-    batched = ForwardCache(t=cache.t[:, :, None], z=cache.z[:, None])
+    batched = ForwardCache(t=cache.t[:, :, None])
     _, grad = backward_batch(
         batched, params, propagation, h_matrix, y[:, None], np.array([label]), eps
     )

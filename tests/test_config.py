@@ -1,7 +1,17 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from simd2nn.config import ExperimentConfig, apply_values, parse_config_file, resolve_config
+from simd2nn.cli import OVERRIDE_FLAGS, _overrides_from_args, build_parser
+from simd2nn.config import (
+    _SCHEMA,
+    ExperimentConfig,
+    apply_values,
+    parse_config_file,
+    resolve_config,
+)
 from simd2nn.errors import ConfigurationError
 
 FULL = """
@@ -178,3 +188,73 @@ def test_parse_config_file_returns_typed_values(tmp_path):
     assert values[("channel", "freq_hz")] == 12e9
     assert values[("channel", "rx_antennas")] == 3
     assert values[("data", "phase_texture")] is False
+
+
+def _flatten(obj, prefix=""):
+    """{dotted field path: value} over a nested dataclass."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            out[f"{prefix}{f.name}"] = value
+    return out
+
+
+def _other_value(key, default):
+    """A value the schema's parser accepts for key that differs from default."""
+    parse = _SCHEMA[key][1]
+    if key == ("experiment", "model"):
+        return "digital"
+    if parse is int:
+        return 7 if default is None else default + 7
+    if parse is float:
+        return 0.5 if default is None else default + 0.5
+    if parse is str:
+        return "elsewhere" if default is None else default + "-other"
+    return not default
+
+
+def test_schema_paths_name_existing_fields():
+    fields = _flatten(ExperimentConfig())
+    for key, (path, _) in _SCHEMA.items():
+        assert path in fields, f"{key} -> {path!r} is not an ExperimentConfig field"
+    paths = [path for path, _ in _SCHEMA.values()]
+    assert len(set(paths)) == len(paths)
+
+
+@pytest.mark.parametrize("key", list(_SCHEMA), ids=lambda k: f"{k[0]}.{k[1]}")
+def test_each_key_sets_exactly_its_field(key):
+    base = ExperimentConfig()
+    path = _SCHEMA[key][0]
+    before = _flatten(base)
+    value = _other_value(key, before[path])
+    after = _flatten(apply_values(base, {key: value}))
+    changed = {p for p in before if before[p] != after[p]}
+    expected = {path, "training.master_seed"} if key == ("experiment", "seed") else {path}
+    assert changed == expected
+    assert after[path] == value
+
+
+@pytest.mark.parametrize("flag", list(OVERRIDE_FLAGS))
+def test_every_cli_override_flag_sets_a_schema_key(flag):
+    key, _, words = OVERRIDE_FLAGS[flag]
+    assert key in _SCHEMA
+    text = words[-1] if words else "3"
+    args = build_parser().parse_args(["train", flag, text])
+    assert _overrides_from_args(args) == {key: _SCHEMA[key][1](text)}
+
+
+def test_cli_on_off_flags_give_booleans():
+    args = build_parser().parse_args(["run", "--train-noise", "off", "--phase-rotation", "off"])
+    cfg = resolve_config(None, _overrides_from_args(args))
+    assert cfg.training.train_noise is False and cfg.data.phase_rotation is False
+
+
+def test_readme_example_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    assert set(parse_config_file(str(path))) == set(_SCHEMA)

@@ -8,7 +8,12 @@ from simd2nn.cli import main
 from simd2nn.config import DataConfig, ExperimentConfig, SynthConfig
 from simd2nn.data import load_dataset, load_scene, save_dataset
 from simd2nn.errors import ConfigurationError
-from simd2nn.experiment import format_ablation_table, run_ablation_suite, run_experiment
+from simd2nn.experiment import (
+    format_ablation_table,
+    obtain_patches,
+    run_ablation_suite,
+    run_experiment,
+)
 from simd2nn.geometry import GeometryConfig
 from simd2nn.metrics import read_class_map
 from simd2nn.training import TrainConfig
@@ -57,11 +62,17 @@ def test_run_experiment_names_failing_stage(tmp_path):
     config = replace(config, data=replace(config.data, dataset_path=str(tmp_path / "nope.simiq1")))
     with pytest.raises(OSError, match="data:"):
         run_experiment(config)
-    # patch side incompatible with the atom count fails in the encode stage
+    # a patch side incompatible with the atom count fails before any data work
     config = tiny_config(tmp_path / "bad2")
     config = replace(config, data=replace(config.data, patch_side=66, stride=32))
-    with pytest.raises(ConfigurationError, match="encode:"):
+    with pytest.raises(ConfigurationError, match="configure: no integer block size"):
         run_experiment(config)
+    # patches handed in are checked when they are encoded
+    config = tiny_config(tmp_path / "bad3")
+    patches = obtain_patches(config)
+    config = replace(config, geometry=replace(config.geometry, atoms_rows=6, atoms_cols=6))
+    with pytest.raises(ConfigurationError, match="encode:"):
+        run_experiment(config, patches=patches)
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -185,6 +196,7 @@ def test_cli_train_validates_before_data(tmp_path, capsys, monkeypatch):
         (["--tx-power", "inf"], "tx_power_dbm"),
         (["--link-distance", "nan"], "distance"),
         (["--config", "{cfg}"], "weight_decay"),
+        (["--atoms-rows", "6", "--atoms-cols", "6"], "no integer block size"),
     ],
 )
 def test_cli_run_rejects_nonfinite_settings_before_data(tmp_path, capsys, monkeypatch, flags, name):
