@@ -16,6 +16,7 @@ bite on.
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -307,6 +308,14 @@ def load_dataset(path: str) -> list[IqPatch]:
             raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {DATASET_MAGIC!r}")
         count = r.u32("patch count")
         side = r.u32("patch side")
+        size = os.fstat(fh.fileno()).st_size
+        needed = count * (9 + 8 * side * side)  # label, origin row/col, samples
+        if needed > size - r.offset:
+            raise FormatError(
+                f"truncated file: the header at byte offset 6 gives {count} patches of side "
+                f"{side}, which need {needed} bytes after byte offset {r.offset}, but the "
+                f"file has {size} bytes"
+            )
         patches = []
         for i in range(count):
             label = r.u8(f"patch {i} label")

@@ -100,21 +100,30 @@ class PreparedExperiment:
     channel: ChannelState
 
 
-def prepare_experiment(
-    config: ExperimentConfig, patches: list[IqPatch] | None = None
-) -> PreparedExperiment:
-    """Validate the config, then obtain patches, encode them and draw the channel.
+def configure(config: ExperimentConfig, cuts_patches: bool) -> SimGeometry:
+    """The configure stage: validate every setting before any data work.
 
-    Validation runs before any data work; when the patches are cut here, it
-    includes the pairing of patch side and atom count. Errors carry the
-    failing stage name (configure, data, encode, channel).
+    When the patches are cut from a scene or a synthetic one
+    (``cuts_patches`` and no ``dataset_path``), it also checks the pairing
+    of patch side and atom count.
     """
     with stage("configure"):
         geometry = build_geometry(config.geometry)
         config.channel.validate()
         config.training.validate()
-        if patches is None and config.data.dataset_path is None:
+        if cuts_patches and config.data.dataset_path is None:
             derive_downsample_factor(config.data.patch_side, geometry.atoms_per_layer)
+    return geometry
+
+
+def prepare_experiment(
+    config: ExperimentConfig, patches: list[IqPatch] | None = None
+) -> PreparedExperiment:
+    """Validate the config, then obtain patches, encode them and draw the channel.
+
+    Errors carry the failing stage name (configure, data, encode, channel).
+    """
+    geometry = configure(config, cuts_patches=patches is None)
     with stage("data"):
         if patches is None:
             patches = obtain_patches(config)
@@ -219,7 +228,12 @@ class AblationRow:
 
 
 def run_ablation_suite(base: ExperimentConfig) -> list[AblationRow]:
-    """Run the scenario grid off one shared patch set; failures don't stop the suite."""
+    """Run the scenario grid off one shared patch set; failures don't stop the suite.
+
+    No row changes the atom count or the patch side, so the base config's
+    configure stage runs before the shared patches are made.
+    """
+    configure(base, cuts_patches=True)
     patches = obtain_patches(base)
     rows: list[AblationRow] = []
     for name, transform in _ablation_rows():

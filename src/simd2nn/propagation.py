@@ -54,13 +54,15 @@ class Propagation:
         return self.w_matrix @ fields
 
     def apply_adjoint(self, fields: np.ndarray) -> np.ndarray:
-        """W^H @ fields, without materialising the conjugate transpose of W.
+        """W^H @ fields, computed as (fields^H W)^H.
 
-        conj(W^T conj(v)) lets BLAS read W transposed in place. It assumes no
-        symmetry of W; the tests check it equals ``w_matrix.conj().T @ fields``
-        bit for bit.
+        The backward pass calls this at the antenna count K (a few columns).
+        Putting the narrow operand on the row side makes one gemm that reads
+        W in its stored order and never materialises W^H. It assumes no
+        symmetry of W; the tests check it against ``w_matrix.conj().T @
+        fields`` to rounding and the exact adjoint identity with ``apply``.
         """
-        return np.conj(self.w_matrix.T @ np.conj(fields))
+        return np.conj(np.conj(fields).T @ self.w_matrix).T
 
 
 def build_propagation(geometry: SimGeometry) -> Propagation:

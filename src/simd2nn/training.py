@@ -13,10 +13,14 @@ intermediate v we carry a_v defined by d(loss) = 2 Re{ a_v^H dv }. From
 d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
 
     a_y,k   = (dloss/d|y_k|^2) y_k,  dloss/d|y_k|^2 = 1/S - 1{k=label}/(|y_label|^2+eps)
-    a_uL    = H^H a_y
+    r_L     = H^H,   r_{l-1} = W^H conj(resp_l) r_l      (M, K)
+    a_u,l   = r_l a_y                                    (M, B)
     theta:    dloss/dtheta_m = 2 Re{ conj(a_u,m) j e^{j theta_m} t_m }
     digital:  (d/dRe + j d/dIm) w_m = 2 a_u,m conj(t_m)
-    a_t     = conj(response) * a_u,   a_u(lower) = W^H a_t
+
+The stack is linear, so r_l, the adjoint of the readout from the output of
+layer l to the K antennas, does not depend on the batch: the products with
+W run at width K instead of width B.
 
 The sampled noise is treated as an additive constant. Every formula below
 is gate-checked against central finite differences in the test suite.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .data import EncodedDataset
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, SimError
 from .geometry import SimGeometry
 from .network import (
     SIM,
@@ -122,12 +126,14 @@ def backward_batch(
         raise ShapeError(f"cache shape {cache.t.shape} does not match ({n_layers}, {m}, B)")
     batch = y.shape[1]
     losses, g = _power_grad(y, labels, eps)
-    a_u = h_matrix.conj().T @ (g * y)
+    a_y = g * y
+    r = h_matrix.conj().T
     if params.kind == SIM:
         grad = np.empty((n_layers, m), dtype=np.float64)
     else:
         grad = np.empty((n_layers, m), dtype=np.complex128)
     for l in range(n_layers, 0, -1):
+        a_u = r @ a_y
         t = cache.t[l - 1]
         if params.kind == SIM:
             grad[l - 1] = (
@@ -136,8 +142,7 @@ def backward_batch(
         else:
             grad[l - 1] = 2.0 * (a_u * np.conj(t)).sum(axis=1) / batch
         if l > 1:  # no parameter sits below layer 1, so its adjoint is never read
-            a_t = np.conj(resp[l - 1])[:, None] * a_u
-            a_u = propagation.apply_adjoint(a_t)
+            r = propagation.apply_adjoint(np.conj(resp[l - 1])[:, None] * r)
     return losses, grad
 
 
@@ -216,6 +221,11 @@ def _noise_streams(cfg: TrainConfig, purpose: int, indices, *path) -> list[np.ra
     return [seeding.stream(cfg.master_seed, purpose, *path, int(j)) for j in indices]
 
 
+def _require_finite(values: np.ndarray, message: str) -> None:
+    if not np.isfinite(values).all():
+        raise SimError(message)
+
+
 def train(
     dataset: EncodedDataset,
     geometry: SimGeometry,
@@ -227,7 +237,9 @@ def train(
 
     Deterministic given cfg.master_seed: the split, epoch shuffles, noise
     draws, and init all come from derived streams keyed by stable patch
-    indices, so batch-level parallelism cannot change the result.
+    indices, so batch-level parallelism cannot change the result. A
+    non-finite loss, gradient or parameter raises ``SimError`` naming the
+    epoch and the batch (both counted from 1).
     """
     cfg.validate()
     n_total = len(dataset)
@@ -252,7 +264,7 @@ def train(
         order = seeding.stream(cfg.master_seed, seeding.SHUFFLE, epoch).permutation(n_train)
         epoch_loss = 0.0
         epoch_correct = 0
-        for start in range(0, n_train, cfg.batch_size):
+        for batch_no, start in enumerate(range(0, n_train, cfg.batch_size), 1):
             batch_idx = train_idx[order[start : start + cfg.batch_size]]
             feats = dataset.features[batch_idx].T
             labels = dataset.labels[batch_idx]
@@ -265,9 +277,13 @@ def train(
             losses, grad = backward_batch(
                 cache, params, prop, channel.realization.h_matrix, y, labels, cfg.softmax_epsilon
             )
+            where = f"epoch {epoch} batch {batch_no}"
+            _require_finite(losses, f"{where}: non-finite loss")
+            _require_finite(grad, f"{where}: non-finite gradient")
             epoch_loss += float(losses.sum())
             epoch_correct += int((classify_batch(y) == labels).sum())
             state = adamw_step(params, grad, state, cfg)
+            _require_finite(_real_view(params), f"{where}: non-finite parameters")
         history.append(
             EpochStats(epoch=epoch, loss=epoch_loss / n_train, accuracy=epoch_correct / n_train)
         )

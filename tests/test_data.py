@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -268,6 +270,38 @@ def test_dataset_truncation_reports_offset(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError, match="byte offset"):
+        load_dataset(str(path))
+
+
+def _dataset_with_count(tmp_path, count):
+    patches = extract_patches(_scene(128, 128), side=64, stride=32)
+    path = tmp_path / "d.simiq1"
+    save_dataset(str(path), patches)
+    blob = bytearray(path.read_bytes())
+    blob[6:10] = struct.pack("<I", count)
+    path.write_bytes(bytes(blob))
+    return path, len(patches), len(blob)
+
+
+def test_dataset_count_one_too_high_fails_before_patches(tmp_path):
+    path, n, size = _dataset_with_count(tmp_path, count=10)
+    assert n == 9  # the header claims one patch more than the file holds
+    with pytest.raises(FormatError, match=f"10 patches of side 64.*file has {size} bytes"):
+        load_dataset(str(path))
+
+
+def test_dataset_huge_count_fails_without_reading_a_patch(tmp_path, monkeypatch):
+    import simd2nn.data as data
+
+    path, _, size = _dataset_with_count(tmp_path, count=2**32 - 1)
+    original = data._Reader.exact
+
+    def header_only(self, n, what):
+        assert not re.match(r"patch \d", what), f"read {what} before checking the count"
+        return original(self, n, what)
+
+    monkeypatch.setattr(data._Reader, "exact", header_only)
+    with pytest.raises(FormatError, match=f"{2**32 - 1} patches.*byte offset 14"):
         load_dataset(str(path))
 
 

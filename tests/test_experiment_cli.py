@@ -214,6 +214,42 @@ def test_cli_run_rejects_nonfinite_settings_before_data(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_ablate_checks_pairing_before_data(tmp_path, capsys, monkeypatch):
+    import simd2nn.experiment as experiment
+
+    def no_data(config):
+        raise AssertionError("obtain_patches called before validation")
+
+    monkeypatch.setattr(experiment, "obtain_patches", no_data)
+    out_dir = tmp_path / "out"
+    assert main(["ablate", "--atoms-rows", "6", "--atoms-cols", "6", "--out-dir", str(out_dir)]) == 1
+    assert "config error: configure: no integer block size" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_run_fails_fast_on_nonfinite_gradient(tmp_path, capsys, monkeypatch):
+    import simd2nn.training as training
+
+    original = training.backward_batch
+
+    def nan_gradient(*args, **kwargs):
+        losses, grad = original(*args, **kwargs)
+        return losses, np.full_like(grad, np.nan)
+
+    monkeypatch.setattr(training, "backward_batch", nan_gradient)
+    cfg_path = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg_path.write_text(
+        "[geometry]\nlayers = 1\natoms_rows = 4\natoms_cols = 8\n"
+        "[data]\nsynth_height = 192\nsynth_width = 192\npatch_side = 64\n"
+        "[training]\nepochs = 2\nbatch = 8\nsample_rate = 0.5\n"
+        f"[experiment]\nout_dir = {out_dir}\n"
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "error: train: epoch 1 batch 1: non-finite gradient" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_train_fails_on_nonfinite_sample(tmp_path, capsys):
     scene_path = tmp_path / "scene.simsc1"
     data_path = tmp_path / "data.simiq1"

@@ -153,23 +153,34 @@ def test_apply_and_adjoint_match_dense_products(source):
         rows, cols = map(int, source.split("x"))
         prop = build_propagation(build_geometry(GeometryConfig(atoms_rows=rows, atoms_cols=cols)))
     m = prop.w_matrix.shape[0]
-    # 29 is the epoch tail batch of the default run (221 training patches)
-    for width in (1, 29, 64):
+    # 2 is the antenna count the backward pass pulls back; 29 is the epoch
+    # tail batch of the default run (221 training patches)
+    for width in (1, 2, 29, 64):
         v = _complex_normal(rng, (m, width))
+        x = _complex_normal(rng, (m, width))
         assert np.array_equal(prop.apply(v), prop.w_matrix @ v)
-        assert np.array_equal(prop.apply_adjoint(v), prop.w_matrix.conj().T @ v)
+        # (v^H W)^H sums in another order than W^H v, so agreement is to rounding
+        np.testing.assert_allclose(
+            prop.apply_adjoint(v), prop.w_matrix.conj().T @ v, rtol=1e-13, atol=0
+        )
+        lhs = np.vdot(prop.apply(x), v)
+        rhs = np.vdot(x, prop.apply_adjoint(v))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 @dataclass(frozen=True)
 class CountingPropagation(Propagation):
     calls: dict = field(default_factory=lambda: {"apply": 0, "apply_adjoint": 0})
+    widths: dict = field(default_factory=lambda: {"apply": [], "apply_adjoint": []})
 
     def apply(self, fields):
         self.calls["apply"] += 1
+        self.widths["apply"].append(fields.shape[1])
         return super().apply(fields)
 
     def apply_adjoint(self, fields):
         self.calls["apply_adjoint"] += 1
+        self.widths["apply_adjoint"].append(fields.shape[1])
         return super().apply_adjoint(fields)
 
 
@@ -186,6 +197,22 @@ def test_one_step_uses_one_product_per_layer_each_way():
     backward_batch(cache, params, prop, real.h_matrix, y, np.arange(batch) % 2)
     # no parameter sits below layer 1, so the backward pass skips its adjoint
     assert prop.calls == {"apply": n_layers, "apply_adjoint": n_layers - 1}
+
+
+def test_backward_pulls_back_at_antenna_width():
+    # the forward runs at batch width; the backward carries the K-column
+    # readout adjoint, so no product with W is as wide as the batch
+    n_layers, batch, k = 4, 7, 2
+    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3, num_layers=n_layers))
+    base = build_propagation(geom)
+    prop = CountingPropagation(w0=base.w0, w_matrix=base.w_matrix)
+    rng = np.random.default_rng(13)
+    m = geom.atoms_per_layer
+    real = ChannelRealization(h_matrix=_complex_normal(rng, (k, m)), noise_sigma=0.0)
+    params = PhaseParams(theta=rng.uniform(0, 2 * np.pi, (n_layers, m)))
+    y, cache = forward_batch(params, _complex_normal(rng, (m, batch)), prop, real, 1.0)
+    backward_batch(cache, params, prop, real.h_matrix, y, np.arange(batch) % k)
+    assert prop.widths == {"apply": [batch] * n_layers, "apply_adjoint": [k] * (n_layers - 1)}
 
 
 def test_dump_matrix_text(tmp_path):

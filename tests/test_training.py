@@ -3,9 +3,17 @@ import pytest
 
 from simd2nn.channel import ChannelConfig, ChannelState, realize_channel
 from simd2nn.data import EncodedDataset
-from simd2nn.errors import ConfigurationError
+from simd2nn.errors import ConfigurationError, SimError
 from simd2nn.geometry import GeometryConfig, build_geometry
-from simd2nn.network import DigitalParams, PhaseParams, classify, encode_input, forward
+from simd2nn.network import (
+    DigitalParams,
+    PhaseParams,
+    classify,
+    encode_input,
+    forward,
+    forward_batch,
+    init_params,
+)
 from simd2nn.propagation import build_propagation
 from simd2nn.seeding import CHANNEL, stream
 from simd2nn.training import (
@@ -13,6 +21,7 @@ from simd2nn.training import (
     TrainConfig,
     adamw_step,
     backward,
+    backward_batch,
     evaluate,
     loss,
     train,
@@ -107,6 +116,51 @@ def test_gradient_matches_finite_differences_digital():
                 y_dn, _ = forward(DigitalParams(down), encode_input(feats), prop, real, 1.0)
                 fd[l, m] += into * (loss(y_up, label) - loss(y_dn, label)) / (2 * h)
     assert relative_error(grad.view(np.float64), fd.view(np.float64)).max() < 1e-5
+
+
+def _width_b_backward(cache, params, prop, h_matrix, y, labels, eps):
+    """Reference pullback that carries the (M, B) batch adjoint through W^H."""
+    q = np.abs(y) ** 2 + eps
+    s = q.sum(axis=0)
+    cols = np.arange(y.shape[1])
+    losses = -np.log(q[labels, cols] / s)
+    g = np.full_like(q, 1.0) / s
+    g[labels, cols] -= 1.0 / q[labels, cols]
+    resp = params.layer_responses()
+    a_u = h_matrix.conj().T @ (g * y)
+    grad = np.empty(resp.shape, dtype=np.float64 if params.kind == "sim" else np.complex128)
+    for l in range(resp.shape[0], 0, -1):
+        t = cache.t[l - 1]
+        if params.kind == "sim":
+            grad[l - 1] = (
+                2.0 * np.real(np.conj(a_u) * (1j * resp[l - 1][:, None]) * t).sum(axis=1)
+            ) / y.shape[1]
+        else:
+            grad[l - 1] = 2.0 * (a_u * np.conj(t)).sum(axis=1) / y.shape[1]
+        if l > 1:
+            a_u = prop.w_matrix.conj().T @ (np.conj(resp[l - 1])[:, None] * a_u)
+    return losses, grad
+
+
+@pytest.mark.parametrize("kind", ["sim", "digital"])
+@pytest.mark.parametrize("batch", [29, 64])
+def test_backward_batch_matches_width_b_pullback(kind, batch):
+    # the default channel puts |y|^2 at its physical scale, far below unit
+    geom = build_geometry(GeometryConfig(atoms_rows=8, atoms_cols=16, num_layers=4))
+    m = geom.atoms_per_layer
+    channel = realize_channel(ChannelConfig(), m, stream(7, CHANNEL))
+    prop = build_propagation(geom)
+    rng = np.random.default_rng(batch)
+    params = init_params(geom, kind, rng)
+    feats = rng.uniform(0.1, 1.0, (m, batch)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, batch)))
+    labels = rng.integers(0, 2, batch)
+    y, cache = forward_batch(params, feats, prop, channel.realization, channel.tx_amplitude)
+    assert 1e-16 < np.median(np.abs(y) ** 2) < 1e-11
+    h, eps = channel.realization.h_matrix, TrainConfig().softmax_epsilon
+    losses, grad = backward_batch(cache, params, prop, h, y, labels, eps)
+    ref_losses, ref_grad = _width_b_backward(cache, params, prop, h, y, labels, eps)
+    assert np.array_equal(losses, ref_losses)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 def test_global_phase_null_direction():
@@ -293,6 +347,36 @@ def test_evaluate_composes_forward_and_classify():
     prop = build_propagation(geom)
     y, _ = forward(params, encode_input(ds.features[0]), prop, channel.realization, channel.tx_amplitude)
     assert classify(y) in (0, 1)
+
+
+def test_train_names_epoch_and_batch_of_nonfinite_numbers(monkeypatch):
+    import simd2nn.training as training
+
+    ds, geom, channel = _tiny_problem()
+    cfg = TrainConfig(epochs=2, batch_size=4, sample_rate=1.0, master_seed=0)
+    backward_ok, adamw_ok = training.backward_batch, training.adamw_step
+    calls = []
+
+    def nan_loss_in_epoch_2(*args):
+        losses, grad = backward_ok(*args)
+        calls.append(None)
+        if len(calls) == 5:  # 12 patches in batches of 4: epoch 2, batch 2
+            losses[0] = np.nan
+        return losses, grad
+
+    monkeypatch.setattr(training, "backward_batch", nan_loss_in_epoch_2)
+    with pytest.raises(SimError, match="^epoch 2 batch 2: non-finite loss$"):
+        train(ds, geom, channel, cfg)
+    monkeypatch.setattr(training, "backward_batch", backward_ok)
+
+    def nan_step(params, grad, state, cfg):
+        state = adamw_ok(params, grad, state, cfg)
+        params.theta[0, 0] = np.inf
+        return state
+
+    monkeypatch.setattr(training, "adamw_step", nan_step)
+    with pytest.raises(SimError, match="^epoch 1 batch 1: non-finite parameters$"):
+        train(ds, geom, channel, cfg)
 
 
 def test_train_rejects_unlabeled_patches():
