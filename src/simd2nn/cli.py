@@ -188,6 +188,8 @@ def _cmd_run(args) -> int:
 def _cmd_dump_matrix(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
     geometry = build_geometry(config.geometry)
+    if not 1 <= args.layer <= geometry.num_layers:
+        raise ConfigurationError(f"--layer {args.layer} outside [1, {geometry.num_layers}]")
     matrix = build_transmission_matrix(geometry, args.layer)
     dump_matrix_text(matrix, args.out)
     m = geometry.atoms_per_layer

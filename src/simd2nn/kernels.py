@@ -5,8 +5,11 @@ The coefficient for one source/destination pair is
     w = (d_x d_y cos(chi) / d) * (1/(2 pi d) - j/lambda) * exp(j 2 pi d / lambda)
 
 with d the pair distance and chi the angle from the layer normal (the
-Rayleigh-Sommerfeld step of diffractive networks). The pairwise matrix
-between two point sets is M x M evaluations per geometry, broadcast in numpy.
+Rayleigh-Sommerfeld step of diffractive networks). ``coupling_matrix``
+evaluates it for every pair of two point sets, broadcast in numpy. The
+propagation module calls it with a single source point only: once for the
+feed vector (M destinations) and once for the inter-layer offset kernel
+((2R-1)(2C-1) destinations), so a geometry costs O(R*C) evaluations.
 """
 
 import numpy as np

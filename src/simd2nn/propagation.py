@@ -1,16 +1,21 @@
 """Fixed free-space coupling between adjacent layers and from the feed.
 
-All matrices depend only on geometry and are constants during training; with
-uniform spacing every inter-layer matrix is identical, so it is built once
-and shared. ``Propagation`` owns the products with that matrix W: the
-forward and backward passes call ``apply`` and ``apply_adjoint`` and never
-multiply by W themselves. The per-pair coefficient is
+All matrices depend only on geometry and are constants during training. The
+R x C atom grids are identical and uniformly spaced, so every inter-layer
+matrix is the same W, built once and shared, and W[m, m'] depends only on the
+row and column offset between the two atoms: ``coupling_kernel`` evaluates
+the coupling once per offset, (2R-1)(2C-1) coefficients, and
+``build_transmission_matrix`` gathers the block-Toeplitz W from that kernel
+with one strided copy. ``Propagation`` owns the products with W: the forward
+and backward passes call ``apply`` and ``apply_adjoint`` and never multiply
+by W themselves. The per-pair coefficient is
 ``kernels.diffraction_coefficient``, re-exported here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .errors import BoundsError
@@ -18,19 +23,39 @@ from .geometry import SimGeometry, layer_positions, tx_position
 from .kernels import diffraction_coefficient  # noqa: F401  (re-export)
 
 
+def coupling_kernel(geometry: SimGeometry) -> np.ndarray:
+    """Coupling to the next layer per grid offset, shape (2R-1, 2C-1).
+
+    kernel[dr + R-1, dc + C-1] couples an atom to the atom dr rows and dc
+    columns away on the next layer, one ``layer_spacing`` downstream.
+    """
+    rows, cols = geometry.atoms_rows, geometry.atoms_cols
+    dy, dx = np.meshgrid(
+        np.arange(1 - rows, rows) * geometry.atom_pitch_y,
+        np.arange(1 - cols, cols) * geometry.atom_pitch_x,
+        indexing="ij",
+    )
+    dst = np.stack([dx.ravel(), dy.ravel(), np.full(dx.size, geometry.layer_spacing)], axis=1)
+    return kernels.coupling_matrix(
+        np.zeros((1, 3)), dst, geometry.atom_pitch_x, geometry.atom_pitch_y, geometry.wavelength
+    ).reshape(dx.shape)
+
+
 def build_transmission_matrix(geometry: SimGeometry, to_layer: int) -> np.ndarray:
     """Coupling from layer ``to_layer - 1`` to layer ``to_layer``, shape (M, M).
 
     entries[m, m'] couples source atom m' to destination atom m, so the
-    forward pass is entries @ field.
+    forward pass is entries @ field. Every adjacent pair of layers gives the
+    same matrix: entry ((r, c), (r', c')) is kernel[r - r' + R-1, c - c' + C-1].
     """
     if not 1 <= to_layer <= geometry.num_layers:
         raise BoundsError(f"to_layer {to_layer} outside [1, {geometry.num_layers}]")
-    src = layer_positions(geometry, to_layer - 1)
-    dst = layer_positions(geometry, to_layer)
-    return kernels.coupling_matrix(
-        src, dst, geometry.atom_pitch_x, geometry.atom_pitch_y, geometry.wavelength
-    )
+    rows, cols = geometry.atoms_rows, geometry.atoms_cols
+    kernel = coupling_kernel(geometry)
+    # a strided view of the kernel; the copy below is the only (M, M) array
+    windows = sliding_window_view(kernel[::-1, ::-1], (rows, cols))[::-1, ::-1]
+    m = geometry.atoms_per_layer
+    return np.ascontiguousarray(windows).reshape(m, m)
 
 
 def build_input_vector(geometry: SimGeometry) -> np.ndarray:

@@ -277,7 +277,7 @@ def test_cli_bad_usage_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_dump_matrix(tmp_path):
+def test_cli_dump_matrix(tmp_path, capsys, monkeypatch):
     out = tmp_path / "w.txt"
     assert main([
         "dump-matrix", "--out", str(out), "--layer", "1",
@@ -285,6 +285,20 @@ def test_cli_dump_matrix(tmp_path):
     ]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 16
+    # a layer the stack does not have is a bad argument, caught before any build
+    bad = tmp_path / "bad.txt"
+    capsys.readouterr()
+
+    def no_build(*args):
+        raise AssertionError("dump-matrix built a matrix for a bad --layer")
+
+    monkeypatch.setattr("simd2nn.cli.build_transmission_matrix", no_build)
+    assert main([
+        "dump-matrix", "--out", str(bad), "--layer", "5",
+        "--atoms-rows", "2", "--atoms-cols", "2", "--layers", "2",
+    ]) == 1
+    assert "config error: --layer 5 outside [1, 2]" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_cli_train_flag_overrides_config(tmp_path):

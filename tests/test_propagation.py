@@ -1,17 +1,26 @@
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from simd2nn import kernels
 from simd2nn.channel import ChannelRealization
 from simd2nn.errors import BoundsError, DomainError
-from simd2nn.geometry import TX_ANTENNA, GeometryConfig, build_geometry, pair_distance_angle
+from simd2nn.geometry import (
+    TX_ANTENNA,
+    GeometryConfig,
+    build_geometry,
+    layer_positions,
+    pair_distance_angle,
+)
 from simd2nn.network import PhaseParams, forward_batch
 from simd2nn.propagation import (
     Propagation,
     build_input_vector,
     build_propagation,
     build_transmission_matrix,
+    coupling_kernel,
     diffraction_coefficient,
     dump_matrix_text,
 )
@@ -69,11 +78,60 @@ def test_diagonal_entries_all_equal():
 
 
 def test_layer_independence():
-    # identical up to coordinate rounding; the propagation bundle reuses one
+    # W is gathered from the offset kernel, which never reads a layer's z
+    # coordinate, so every layer pair gives the same bits
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2, num_layers=3))
     w1 = build_transmission_matrix(geom, 1)
     w3 = build_transmission_matrix(geom, 3)
-    np.testing.assert_allclose(w1, w3, rtol=1e-13)
+    assert np.array_equal(w1, w3)
+
+
+def _pairwise_matrix(geom, to_layer):
+    """The direct M^2 build: every source/destination atom pair evaluated."""
+    return kernels.coupling_matrix(
+        layer_positions(geom, to_layer - 1),
+        layer_positions(geom, to_layer),
+        geom.atom_pitch_x,
+        geom.atom_pitch_y,
+        geom.wavelength,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, cols, pitches, n_layers, to_layer",
+    [
+        (1, 1, {}, 4, 1),
+        (1, 7, {}, 4, 1),
+        (7, 1, {}, 4, 1),
+        (2, 3, {}, 4, 1),
+        (8, 16, {}, 4, 1),
+        (8, 16, dict(atom_pitch_x=0.01, atom_pitch_y=0.015), 4, 1),
+        (2, 3, {}, 3, 3),
+    ],
+)
+def test_kernel_built_matrix_matches_pairwise_build(rows, cols, pitches, n_layers, to_layer):
+    geom = build_geometry(
+        GeometryConfig(atoms_rows=rows, atoms_cols=cols, num_layers=n_layers, **pitches)
+    )
+    kernel = coupling_kernel(geom)
+    assert kernel.shape == (2 * rows - 1, 2 * cols - 1)
+    w = build_transmission_matrix(geom, to_layer)
+    assert w.shape == (rows * cols, rows * cols) and w.flags.c_contiguous
+    np.testing.assert_allclose(w, _pairwise_matrix(geom, to_layer), rtol=1e-13, atol=0)
+    assert np.array_equal(w, w.T)
+
+
+def test_build_propagation_peaks_near_one_matrix():
+    # besides W the build holds only O(R*C) arrays: the offset kernel and
+    # the feed vector, so no (M, M) intermediate may appear
+    geom = build_geometry(GeometryConfig(atoms_rows=16, atoms_cols=32))
+    tracemalloc.start()
+    try:
+        prop = build_propagation(geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * prop.w_matrix.nbytes
 
 
 def test_matrix_layer_bounds():
