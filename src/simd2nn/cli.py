@@ -188,12 +188,9 @@ def _cmd_run(args) -> int:
 def _cmd_dump_matrix(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
     geometry = build_geometry(config.geometry)
-    if not 1 <= args.layer <= geometry.num_layers:
-        raise ConfigurationError(f"--layer {args.layer} outside [1, {geometry.num_layers}]")
-    matrix = build_transmission_matrix(geometry, args.layer)
-    dump_matrix_text(matrix, args.out)
+    dump_matrix_text(build_transmission_matrix(geometry), args.out)
     m = geometry.atoms_per_layer
-    print(f"wrote {m}x{m} layer-{args.layer} transmission matrix to {args.out}")
+    print(f"wrote {m}x{m} transmission matrix to {args.out}")
     return 0
 
 
@@ -240,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_overrides(p)
     p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("dump-matrix", help="dump one transmission matrix as text")
+    p = sub.add_parser("dump-matrix", help="dump the layer-to-layer transmission matrix as text")
     p.add_argument("--out", required=True)
-    p.add_argument("--layer", type=int, default=1)
     _add_config_overrides(p, training=False)
     p.set_defaults(func=_cmd_dump_matrix)
     return parser

@@ -138,7 +138,7 @@ def classify(y: np.ndarray) -> int:
     """Index of the antenna with the highest power; ties go to the lowest index."""
     if y.size == 0:
         raise ShapeError("cannot classify an empty received vector")
-    return int(np.argmax(np.abs(y) ** 2))
+    return int(classify_batch(y[:, None])[0])
 
 
 def classify_batch(y: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .errors import BoundsError
 from .geometry import SimGeometry, layer_positions, tx_position
 from .kernels import diffraction_coefficient  # noqa: F401  (re-export)
 
@@ -41,15 +40,13 @@ def coupling_kernel(geometry: SimGeometry) -> np.ndarray:
     ).reshape(dx.shape)
 
 
-def build_transmission_matrix(geometry: SimGeometry, to_layer: int) -> np.ndarray:
-    """Coupling from layer ``to_layer - 1`` to layer ``to_layer``, shape (M, M).
+def build_transmission_matrix(geometry: SimGeometry) -> np.ndarray:
+    """Coupling from one layer to the next, shape (M, M).
 
     entries[m, m'] couples source atom m' to destination atom m, so the
-    forward pass is entries @ field. Every adjacent pair of layers gives the
+    forward pass is entries @ field. Every adjacent pair of layers gives this
     same matrix: entry ((r, c), (r', c')) is kernel[r - r' + R-1, c - c' + C-1].
     """
-    if not 1 <= to_layer <= geometry.num_layers:
-        raise BoundsError(f"to_layer {to_layer} outside [1, {geometry.num_layers}]")
     rows, cols = geometry.atoms_rows, geometry.atoms_cols
     kernel = coupling_kernel(geometry)
     # a strided view of the kernel; the copy below is the only (M, M) array
@@ -94,7 +91,7 @@ def build_propagation(geometry: SimGeometry) -> Propagation:
     """Build the feed vector and the (shared) inter-layer matrix once."""
     return Propagation(
         w0=build_input_vector(geometry),
-        w_matrix=build_transmission_matrix(geometry, 1),
+        w_matrix=build_transmission_matrix(geometry),
     )
 
 

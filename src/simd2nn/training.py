@@ -14,13 +14,18 @@ d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
 
     a_y,k   = (dloss/d|y_k|^2) y_k,  dloss/d|y_k|^2 = 1/S - 1{k=label}/(|y_label|^2+eps)
     r_L     = H^H,   r_{l-1} = W^H conj(resp_l) r_l      (M, K)
-    a_u,l   = r_l a_y                                    (M, B)
-    theta:    dloss/dtheta_m = 2 Re{ conj(a_u,m) j e^{j theta_m} t_m }
-    digital:  (d/dRe + j d/dIm) w_m = 2 a_u,m conj(t_m)
 
 The stack is linear, so r_l, the adjoint of the readout from the output of
 layer l to the K antennas, does not depend on the batch: the products with
-W run at width K instead of width B.
+W run at width K instead of width B. Layer l's output is resp_l * t_l, so
+the batch-mean Wirtinger gradient with respect to its responses is
+
+    G_l = (2/B) sum_b conj(t_l,b) (r_l a_y,b) = (2/B) rowsum(r_l * conj(t_l a_y^H)),
+
+one (M, B) x (B, K) product per layer. Both models share G:
+
+    digital:  (d/dRe + j d/dIm) w_m = G_m
+    theta:    dloss/dtheta_m = Re{ j e^{j theta_m} conj(G_m) }   (resp = e^{j theta})
 
 The sampled noise is treated as an additive constant. Every formula below
 is gate-checked against central finite differences in the test suite.
@@ -87,12 +92,12 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {value}")
 
 
-def loss(y: np.ndarray, label: int, eps: float = 1e-12) -> float:
+def loss(y: np.ndarray, label: int, eps: float = TrainConfig.softmax_epsilon) -> float:
     """Normalized-power cross-entropy of one received vector."""
     if not 0 <= label < y.shape[0]:
         raise ShapeError(f"label {label} outside the {y.shape[0]} receive antennas")
-    q = np.abs(y) ** 2 + eps
-    return float(-np.log(q[label] / q.sum()))
+    losses, _ = _power_grad(y[:, None], [label], eps)
+    return float(losses[0])
 
 
 def _power_grad(y: np.ndarray, labels: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +118,7 @@ def backward_batch(
     h_matrix: np.ndarray,
     y: np.ndarray,
     labels: np.ndarray,
-    eps: float = 1e-12,
+    eps: float = TrainConfig.softmax_epsilon,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and the batch-mean parameter gradient.
 
@@ -126,23 +131,15 @@ def backward_batch(
         raise ShapeError(f"cache shape {cache.t.shape} does not match ({n_layers}, {m}, B)")
     batch = y.shape[1]
     losses, g = _power_grad(y, labels, eps)
-    a_y = g * y
+    a_y_h = np.conj(g * y).T
     r = h_matrix.conj().T
-    if params.kind == SIM:
-        grad = np.empty((n_layers, m), dtype=np.float64)
-    else:
-        grad = np.empty((n_layers, m), dtype=np.complex128)
+    grad = np.empty((n_layers, m), dtype=np.complex128)
     for l in range(n_layers, 0, -1):
-        a_u = r @ a_y
-        t = cache.t[l - 1]
-        if params.kind == SIM:
-            grad[l - 1] = (
-                2.0 * np.real(np.conj(a_u) * (1j * resp[l - 1][:, None]) * t).sum(axis=1) / batch
-            )
-        else:
-            grad[l - 1] = 2.0 * (a_u * np.conj(t)).sum(axis=1) / batch
+        grad[l - 1] = 2.0 * (r * np.conj(cache.t[l - 1] @ a_y_h)).sum(axis=1) / batch
         if l > 1:  # no parameter sits below layer 1, so its adjoint is never read
             r = propagation.apply_adjoint(np.conj(resp[l - 1])[:, None] * r)
+    if params.kind == SIM:  # chain rule through resp = e^{j theta}
+        grad = np.real(1j * resp * np.conj(grad))
     return losses, grad
 
 
@@ -153,7 +150,7 @@ def backward(
     h_matrix: np.ndarray,
     y: np.ndarray,
     label: int,
-    eps: float = 1e-12,
+    eps: float = TrainConfig.softmax_epsilon,
 ) -> np.ndarray:
     """Single-patch gradient of the loss with respect to the parameters."""
     batched = ForwardCache(t=cache.t[:, :, None])

@@ -14,8 +14,9 @@ from simd2nn.experiment import (
     run_ablation_suite,
     run_experiment,
 )
-from simd2nn.geometry import GeometryConfig
+from simd2nn.geometry import GeometryConfig, build_geometry
 from simd2nn.metrics import read_class_map
+from simd2nn.propagation import build_propagation
 from simd2nn.training import TrainConfig
 
 
@@ -277,28 +278,20 @@ def test_cli_bad_usage_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_dump_matrix(tmp_path, capsys, monkeypatch):
+def test_cli_dump_matrix(tmp_path):
     out = tmp_path / "w.txt"
     assert main([
-        "dump-matrix", "--out", str(out), "--layer", "1",
+        "dump-matrix", "--out", str(out),
         "--atoms-rows", "2", "--atoms-cols", "2", "--layers", "2",
     ]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 16
-    # a layer the stack does not have is a bad argument, caught before any build
-    bad = tmp_path / "bad.txt"
-    capsys.readouterr()
-
-    def no_build(*args):
-        raise AssertionError("dump-matrix built a matrix for a bad --layer")
-
-    monkeypatch.setattr("simd2nn.cli.build_transmission_matrix", no_build)
-    assert main([
-        "dump-matrix", "--out", str(bad), "--layer", "5",
-        "--atoms-rows", "2", "--atoms-cols", "2", "--layers", "2",
-    ]) == 1
-    assert "config error: --layer 5 outside [1, 2]" in capsys.readouterr().err
-    assert not bad.exists()
+    # the dump is the W that every adjacent layer pair of the stack uses
+    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2, num_layers=2))
+    w = build_propagation(geom).w_matrix
+    for line in lines:
+        r, c, re, im = line.split()
+        assert complex(float(re), float(im)) == w[int(r), int(c)]
 
 
 def test_cli_train_flag_overrides_config(tmp_path):

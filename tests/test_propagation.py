@@ -6,7 +6,7 @@ import pytest
 
 from simd2nn import kernels
 from simd2nn.channel import ChannelRealization
-from simd2nn.errors import BoundsError, DomainError
+from simd2nn.errors import DomainError
 from simd2nn.geometry import (
     TX_ANTENNA,
     GeometryConfig,
@@ -56,7 +56,7 @@ def test_nonpositive_distance_rejected():
 
 def test_single_atom_matrix_is_axial_coefficient():
     geom = build_geometry(GeometryConfig(atoms_rows=1, atoms_cols=1))
-    matrix = build_transmission_matrix(geom, 1)
+    matrix = build_transmission_matrix(geom)
     assert matrix.shape == (1, 1)
     expected = diffraction_coefficient(
         geom.layer_spacing, 1.0, geom.atom_pitch_x, geom.atom_pitch_y, geom.wavelength
@@ -66,24 +66,15 @@ def test_single_atom_matrix_is_axial_coefficient():
 
 def test_matrix_is_symmetric_for_identical_layouts():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2))
-    entries = build_transmission_matrix(geom, 1)
+    entries = build_transmission_matrix(geom)
     np.testing.assert_allclose(entries, entries.T, rtol=1e-13)
 
 
 def test_diagonal_entries_all_equal():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3))
-    entries = build_transmission_matrix(geom, 1)
+    entries = build_transmission_matrix(geom)
     diag = np.diag(entries)
     np.testing.assert_allclose(diag, diag[0], rtol=1e-13)
-
-
-def test_layer_independence():
-    # W is gathered from the offset kernel, which never reads a layer's z
-    # coordinate, so every layer pair gives the same bits
-    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2, num_layers=3))
-    w1 = build_transmission_matrix(geom, 1)
-    w3 = build_transmission_matrix(geom, 3)
-    assert np.array_equal(w1, w3)
 
 
 def _pairwise_matrix(geom, to_layer):
@@ -110,12 +101,14 @@ def _pairwise_matrix(geom, to_layer):
     ],
 )
 def test_kernel_built_matrix_matches_pairwise_build(rows, cols, pitches, n_layers, to_layer):
+    # the one W couples every adjacent pair, so it must match the pairwise
+    # build into any layer, not only layer 1
     geom = build_geometry(
         GeometryConfig(atoms_rows=rows, atoms_cols=cols, num_layers=n_layers, **pitches)
     )
     kernel = coupling_kernel(geom)
     assert kernel.shape == (2 * rows - 1, 2 * cols - 1)
-    w = build_transmission_matrix(geom, to_layer)
+    w = build_transmission_matrix(geom)
     assert w.shape == (rows * cols, rows * cols) and w.flags.c_contiguous
     np.testing.assert_allclose(w, _pairwise_matrix(geom, to_layer), rtol=1e-13, atol=0)
     assert np.array_equal(w, w.T)
@@ -134,14 +127,6 @@ def test_build_propagation_peaks_near_one_matrix():
     assert peak <= 1.5 * prop.w_matrix.nbytes
 
 
-def test_matrix_layer_bounds():
-    geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=2, num_layers=2))
-    with pytest.raises(BoundsError):
-        build_transmission_matrix(geom, 0)
-    with pytest.raises(BoundsError):
-        build_transmission_matrix(geom, 3)
-
-
 def test_magnitude_decays_with_axial_distance():
     mags = [
         abs(diffraction_coefficient(d, 1.0, 0.0125, 0.0125, 0.025))
@@ -152,7 +137,7 @@ def test_magnitude_decays_with_axial_distance():
 
 def test_matrix_entries_finite():
     geom = build_geometry(GeometryConfig(atoms_rows=4, atoms_cols=4))
-    entries = build_transmission_matrix(geom, 1)
+    entries = build_transmission_matrix(geom)
     assert np.all(np.isfinite(entries.view(np.float64)))
 
 
@@ -176,7 +161,7 @@ def test_input_vector_equidistant_atoms_match():
 def test_propagation_bundle_consistency():
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3))
     prop = build_propagation(geom)
-    np.testing.assert_array_equal(prop.w_matrix, build_transmission_matrix(geom, 1))
+    np.testing.assert_array_equal(prop.w_matrix, build_transmission_matrix(geom))
     np.testing.assert_array_equal(prop.w0, build_input_vector(geom))
 
 
@@ -275,7 +260,7 @@ def test_backward_pulls_back_at_antenna_width():
 
 def test_dump_matrix_text(tmp_path):
     geom = build_geometry(GeometryConfig(atoms_rows=1, atoms_cols=2))
-    entries = build_transmission_matrix(geom, 1)
+    entries = build_transmission_matrix(geom)
     path = tmp_path / "w.txt"
     dump_matrix_text(entries, str(path))
     lines = path.read_text().strip().splitlines()

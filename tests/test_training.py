@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,29 @@ def test_backward_batch_matches_width_b_pullback(kind, batch):
     ref_losses, ref_grad = _width_b_backward(cache, params, prop, h, y, labels, eps)
     assert np.array_equal(losses, ref_losses)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("kind", ["sim", "digital"])
+def test_backward_batch_holds_no_batch_width_array(kind):
+    # besides the cache it reads, the backward pass holds only (M, K) and
+    # (M,) arrays: the gradient is formed at antenna width, so its peak stays
+    # below one (M, B) complex array
+    geom = build_geometry(GeometryConfig(atoms_rows=16, atoms_cols=32, num_layers=4))
+    m, batch = geom.atoms_per_layer, 64
+    channel = realize_channel(ChannelConfig(), m, stream(7, CHANNEL))
+    prop = build_propagation(geom)
+    rng = np.random.default_rng(5)
+    params = init_params(geom, kind, rng)
+    feats = rng.uniform(0.1, 1.0, (m, batch)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, batch)))
+    y, cache = forward_batch(params, feats, prop, channel.realization, channel.tx_amplitude)
+    h, labels = channel.realization.h_matrix, np.arange(batch) % 2
+    tracemalloc.start()
+    try:
+        backward_batch(cache, params, prop, h, y, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * batch * np.dtype(np.complex128).itemsize
 
 
 def test_global_phase_null_direction():
