@@ -90,6 +90,16 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
+def _print_metrics(bundle) -> None:
+    for name, value in (
+        ("precision", bundle.precision),
+        ("recall", bundle.recall),
+        ("f1", bundle.f1),
+        ("overall accuracy", bundle.overall_accuracy),
+    ):
+        print(f"{name} {format_percent(value)}")
+
+
 def _cmd_synth(args) -> int:
     rng = seeding.stream(args.seed, seeding.SYNTH)
     scene = synthesize_scene(
@@ -134,7 +144,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
-    params = load_params(args.params)
+    with stage("params"):
+        params = load_params(args.params)
     prep = prepare_experiment(config)
     with stage("evaluate"):
         predictions, bundle = evaluate(
@@ -148,13 +159,7 @@ def _cmd_eval(args) -> int:
         print(f"wrote {report_path} and {map_path}")
     else:
         print(f"wrote {report_path} (no full patch grid; class map skipped)")
-    for name, value in (
-        ("precision", bundle.precision),
-        ("recall", bundle.recall),
-        ("f1", bundle.f1),
-        ("overall accuracy", bundle.overall_accuracy),
-    ):
-        print(f"{name} {format_percent(value)}")
+    _print_metrics(bundle)
     return 0
 
 
@@ -173,15 +178,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = resolve_config(args.config, _overrides_from_args(args))
-    result = run_experiment(config)
-    b = result.metrics
-    for name, value in (
-        ("precision", b.precision),
-        ("recall", b.recall),
-        ("f1", b.f1),
-        ("overall accuracy", b.overall_accuracy),
-    ):
-        print(f"{name} {format_percent(value)}")
+    _print_metrics(run_experiment(config).metrics)
     return 0
 
 

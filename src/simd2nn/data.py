@@ -16,12 +16,12 @@ bite on.
 
 import logging
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import check_size, read_header
 from .errors import (
     ConfigurationError,
     DegeneratePatchError,
@@ -254,32 +254,12 @@ def encode_patches(
 # SIMIQ1 patch dataset: magic "SIMIQ1", u32 count, u32 side, then per patch
 # u8 label, u32 origin_row, u32 origin_col, side^2 float32 (I, Q) pairs.
 # SIMSC1 raw scene: magic "SIMSC1", u32 H, u32 W, H*W float32 (I, Q) pairs,
-# u8 mask flag, then H*W u8 mask values when the flag is 1.
-# All integers and floats little-endian.
+# u8 mask flag (0 or 1), then H*W u8 mask values when the flag is 1.
+# All integers and floats little-endian. The loaders check each size against
+# the file (``binio``) before reading it, and reject trailing bytes.
 
 DATASET_MAGIC = b"SIMIQ1"
 SCENE_MAGIC = b"SIMSC1"
-
-
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-        self.offset = 0
-
-    def exact(self, n: int, what: str) -> bytes:
-        buf = self.fh.read(n)
-        if len(buf) != n:
-            raise FormatError(
-                f"truncated file: needed {n} bytes for {what} at byte offset {self.offset}"
-            )
-        self.offset += n
-        return buf
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.exact(4, what))[0]
-
-    def u8(self, what: str) -> int:
-        return self.exact(1, what)[0]
 
 
 def save_dataset(path: str, patches: list[IqPatch]) -> None:
@@ -302,27 +282,14 @@ def save_dataset(path: str, patches: list[IqPatch]) -> None:
 
 def load_dataset(path: str) -> list[IqPatch]:
     with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.exact(6, "magic")
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {DATASET_MAGIC!r}")
-        count = r.u32("patch count")
-        side = r.u32("patch side")
-        size = os.fstat(fh.fileno()).st_size
-        needed = count * (9 + 8 * side * side)  # label, origin row/col, samples
-        if needed > size - r.offset:
-            raise FormatError(
-                f"truncated file: the header at byte offset 6 gives {count} patches of side "
-                f"{side}, which need {needed} bytes after byte offset {r.offset}, but the "
-                f"file has {size} bytes"
-            )
+        count, side = read_header(fh, DATASET_MAGIC, "<II")
+        record = 9 + 8 * side * side  # label, origin row/col, samples
+        check_size(fh, count * record, f"{count} patches of side {side}")
         patches = []
-        for i in range(count):
-            label = r.u8(f"patch {i} label")
-            row = r.u32(f"patch {i} origin row")
-            col = r.u32(f"patch {i} origin col")
-            raw = r.exact(side * side * 8, f"patch {i} samples")
-            samples = np.frombuffer(raw, dtype="<c8").reshape(side, side).copy()
+        for _ in range(count):
+            raw = fh.read(record)
+            label, row, col = struct.unpack_from("<BII", raw)
+            samples = np.frombuffer(raw, dtype="<c8", offset=9).reshape(side, side).copy()
             patches.append(IqPatch(samples=samples, origin=(row, col), label=label))
         return patches
 
@@ -342,15 +309,15 @@ def save_scene(path: str, scene: IqScene) -> None:
 
 def load_scene(path: str) -> IqScene:
     with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.exact(6, "magic")
-        if magic != SCENE_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte offset 0, expected {SCENE_MAGIC!r}")
-        h = r.u32("scene height")
-        w = r.u32("scene width")
-        raw = r.exact(h * w * 8, "scene samples")
-        samples = np.frombuffer(raw, dtype="<c8").reshape(h, w).copy()
+        h, w = read_header(fh, SCENE_MAGIC, "<II")
+        check_size(fh, 8 * h * w + 1, f"{h}x{w} samples and a mask flag", exact=False)
+        samples = np.frombuffer(fh.read(8 * h * w), dtype="<c8").reshape(h, w).copy()
+        flag_at = fh.tell()
+        flag = fh.read(1)[0]
+        if flag > 1:
+            raise FormatError(f"unknown mask flag {flag} at byte offset {flag_at}, expected 0 or 1")
+        check_size(fh, flag * h * w, f"{flag * h * w} mask bytes after mask flag {flag}")
         mask = None
-        if r.u8("mask flag") == 1:
-            mask = np.frombuffer(r.exact(h * w, "label mask"), dtype=np.uint8).reshape(h, w).copy()
+        if flag:
+            mask = np.frombuffer(fh.read(h * w), dtype=np.uint8).reshape(h, w).copy()
         return IqScene(samples=samples, label_mask=mask)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import check_size, read_header
 from .channel import ChannelRealization, add_awgn
 from .errors import EncodingError, FormatError, ShapeError
 from .geometry import SimGeometry
@@ -176,20 +177,10 @@ def save_params(path: str, params: PhaseParams | DigitalParams) -> None:
 
 def load_params(path: str) -> PhaseParams | DigitalParams:
     with open(path, "rb") as fh:
-        header = fh.read(6 + 9)
-        if len(header) < 15:
-            raise FormatError(f"truncated parameter file: header needs 15 bytes, got {len(header)}")
-        if header[:6] != PARAMS_MAGIC:
-            raise FormatError(f"bad magic {header[:6]!r} at byte offset 0, expected {PARAMS_MAGIC!r}")
-        n_layers, m, kind_byte = struct.unpack("<IIB", header[6:])
-        count = n_layers * m * (2 if kind_byte else 1)
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise FormatError(
-                f"truncated parameter file: needed {count * 8} payload bytes at byte offset 15"
-            )
-        if kind_byte == 0:
-            return PhaseParams(theta=np.frombuffer(raw, dtype="<f8").reshape(n_layers, m).copy())
-        if kind_byte == 1:
-            return DigitalParams(weights=np.frombuffer(raw, dtype="<c16").reshape(n_layers, m).copy())
-        raise FormatError(f"unknown parameter kind byte {kind_byte} at byte offset 14")
+        n_layers, m, kind_byte = read_header(fh, PARAMS_MAGIC, "<IIB")
+        if kind_byte > 1:
+            raise FormatError(f"unknown parameter kind byte {kind_byte} at byte offset 14")
+        dtype, what = ("<c16", "weights") if kind_byte else ("<f8", "phases")
+        check_size(fh, n_layers * m * np.dtype(dtype).itemsize, f"{n_layers} layers of {m} {what}")
+        values = np.frombuffer(fh.read(), dtype=dtype).reshape(n_layers, m).copy()
+        return DigitalParams(weights=values) if kind_byte else PhaseParams(theta=values)

@@ -1,11 +1,13 @@
+import io
 import logging
 import math
-import re
 import struct
 
 import numpy as np
 import pytest
 
+import simd2nn.data as data
+import simd2nn.network as network
 from simd2nn.data import (
     EncodedDataset,
     IqPatch,
@@ -29,6 +31,7 @@ from simd2nn.errors import (
     FormatError,
     LabelingError,
 )
+from simd2nn.network import PhaseParams, load_params, save_params
 from simd2nn.seeding import SYNTH, stream
 
 
@@ -255,6 +258,8 @@ def test_dataset_round_trip(tmp_path):
     for a, b in zip(patches, loaded):
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.origin == b.origin and a.label == b.label
+        assert b.samples.dtype == np.complex64
+        assert b.samples.flags.owndata and b.samples.flags.writeable
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -290,19 +295,91 @@ def test_dataset_count_one_too_high_fails_before_patches(tmp_path):
         load_dataset(str(path))
 
 
+def _count_reads(monkeypatch) -> list[int]:
+    """From here on the loaders open files through one that tallies the bytes read."""
+    tally = [0]
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            buf = super().read(size)
+            tally[0] += len(buf)
+            return buf
+
+    for module in (data, network):
+        monkeypatch.setattr(module, "open", lambda path, mode: CountingFile(path), raising=False)
+    return tally
+
+
 def test_dataset_huge_count_fails_without_reading_a_patch(tmp_path, monkeypatch):
-    import simd2nn.data as data
-
-    path, _, size = _dataset_with_count(tmp_path, count=2**32 - 1)
-    original = data._Reader.exact
-
-    def header_only(self, n, what):
-        assert not re.match(r"patch \d", what), f"read {what} before checking the count"
-        return original(self, n, what)
-
-    monkeypatch.setattr(data._Reader, "exact", header_only)
+    path, _, _ = _dataset_with_count(tmp_path, count=2**32 - 1)
+    tally = _count_reads(monkeypatch)
     with pytest.raises(FormatError, match=f"{2**32 - 1} patches.*byte offset 14"):
         load_dataset(str(path))
+    assert tally[0] == 14  # the header only
+
+
+def _saved_file(tmp_path, fmt):
+    """A small valid file of each binary format, and its loader."""
+    path = tmp_path / f"f.{fmt}"
+    if fmt == "dataset":
+        save_dataset(str(path), extract_patches(_scene(128, 128), side=64, stride=32))
+        return path, load_dataset
+    if fmt == "scene":
+        save_scene(str(path), _scene(16, 24))
+        return path, load_scene
+    save_params(str(path), PhaseParams(theta=np.zeros((2, 3))))
+    return path, load_params
+
+
+# case -> (edit of a valid file, the start of the error it must raise)
+CORRUPTIONS = {
+    "huge-header": (lambda b: b[:6] + b"\xff" * 8 + b[14:], "truncated file"),
+    "one-byte-short": (lambda b: b[:-1], "truncated file"),
+    "trailing-byte": (lambda b: b + b"\x00", "trailing bytes"),
+    "bad-magic": (lambda b: b"NOTMAG" + b[6:], "bad magic"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+@pytest.mark.parametrize("fmt", ["dataset", "scene", "params"])
+def test_corrupt_file_fails_naming_byte_offset(tmp_path, fmt, case):
+    path, loader = _saved_file(tmp_path, fmt)
+    corrupt, problem = CORRUPTIONS[case]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError, match=f"^{problem}.*byte offset"):
+        loader(str(path))
+
+
+@pytest.mark.parametrize(
+    "fmt, fields",
+    [
+        pytest.param("scene", (400_000, 400_000), id="scene-400000x400000"),
+        pytest.param("scene", (2**32 - 1, 2**32 - 1), id="scene-4294967295x4294967295"),
+        pytest.param("params", (100_000, 100_000), id="params-100000x100000"),
+        pytest.param("params", (2**32 - 1, 3), id="params-4294967295-layers"),
+    ],
+)
+def test_oversized_header_fails_before_reading_payload(tmp_path, monkeypatch, fmt, fields):
+    path, loader = _saved_file(tmp_path, fmt)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:6] + struct.pack("<II", *fields) + blob[14:])
+    header_size = 15 if fmt == "params" else 14
+    tally = _count_reads(monkeypatch)
+    with pytest.raises(FormatError, match=f"truncated file.*byte offset {header_size}"):
+        loader(str(path))
+    assert tally[0] == header_size
+
+
+def test_scene_rejects_unknown_mask_flag(tmp_path):
+    path = tmp_path / "s.simsc1"
+    save_scene(str(path), _scene(16, 24))
+    blob = bytearray(path.read_bytes())
+    flag_at = 14 + 8 * 16 * 24
+    assert blob[flag_at] == 1
+    blob[flag_at] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"unknown mask flag 7 at byte offset {flag_at}"):
+        load_scene(str(path))
 
 
 def test_dataset_bad_magic(tmp_path):
@@ -319,6 +396,8 @@ def test_scene_round_trip(tmp_path):
     loaded = load_scene(str(path))
     np.testing.assert_array_equal(loaded.samples, scene.samples)
     np.testing.assert_array_equal(loaded.label_mask, scene.label_mask)
+    for array in (loaded.samples, loaded.label_mask):
+        assert array.flags.owndata and array.flags.writeable
 
 
 def test_scene_round_trip_without_mask(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["train", "--config", str(bad_cfg)]) == 1
     assert main(["eval", "--params", str(tmp_path / "missing.simth1")]) == 2
     assert main(["patch", "--in", str(tmp_path / "missing.simsc1"), "--out", "x"]) == 2
+
+
+def test_cli_corrupt_scene_header_is_data_config_error(tmp_path, capsys):
+    scene_path = tmp_path / "scene.simsc1"
+    assert main(["synth", "--out", str(scene_path), "--height", "64", "--width", "64"]) == 0
+    blob = scene_path.read_bytes()
+    scene_path.write_bytes(blob[:6] + struct.pack("<II", 400_000, 400_000) + blob[14:])
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(f"[data]\nscene = {scene_path}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: data: truncated file" in err and "Traceback" not in err
+
+
+def test_cli_corrupt_params_header_is_params_config_error(tmp_path, capsys):
+    params_path = tmp_path / "p.simth1"
+    params_path.write_bytes(b"SIMTH1" + struct.pack("<IIB", 2**32 - 1, 32, 0))
+    assert main(["eval", "--params", str(params_path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: params:" in err and "Traceback" not in err
 
 
 def test_cli_train_validates_before_data(tmp_path, capsys, monkeypatch):

@@ -240,3 +240,16 @@ def test_params_bad_magic_and_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError, match="truncated"):
         load_params(str(path))
+    path.write_bytes(b"SIMTH1" + b"\x00" * 5)
+    with pytest.raises(FormatError, match="header needs 15 bytes at byte offset 0"):
+        load_params(str(path))
+
+
+def test_params_unknown_kind_checked_before_payload(tmp_path):
+    path = tmp_path / "p.simth1"
+    save_params(str(path), PhaseParams(theta=np.zeros((2, 3))))
+    blob = bytearray(path.read_bytes())
+    blob[14] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unknown parameter kind byte 7 at byte offset 14"):
+        load_params(str(path))
