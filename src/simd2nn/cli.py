@@ -1,33 +1,34 @@
-"""Command-line surface: synth, patch, train, eval, ablate, dump-matrix.
+"""Command-line surface: synth, patch, train, eval, run, ablate, dump-matrix.
 
 Exit codes: 0 on success, 1 on configuration/format problems, 2 on runtime
-failures. Flags override config-file values, which override built-in
-defaults.
+failures; every error names the stage that raised it. Flags override
+config-file values, which override built-in defaults. Each command runs the
+stage functions of ``experiment``; this module parses flags and prints.
 """
 
 import argparse
 import logging
-import os
 import sys
 
-from . import seeding
-from .config import DataConfig, ExperimentConfig, SynthConfig, parser_for, resolve_config
-from .data import extract_patches, load_scene, save_dataset, save_scene, synthesize_scene
+from .config import parser_for, resolve_config
+from .data import SYNTH_LAYOUTS
 from .errors import ConfigurationError, FormatError, SimError
 from .experiment import (
+    artifact_path,
+    deploy,
+    fit,
     format_ablation_table,
+    load_trained,
     prepare_experiment,
     run_ablation_suite,
     run_experiment,
     stage,
-    write_evaluation_artifacts,
-    write_training_artifacts,
+    write_patches,
+    write_scene,
 )
 from .geometry import build_geometry
 from .metrics import format_percent
-from .network import load_params
 from .propagation import build_transmission_matrix, dump_matrix_text
-from .training import evaluate, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,8 +41,9 @@ class _Parser(argparse.ArgumentParser):
 # Argparse checks each value, with the key's schema parser as its type or
 # against the accepted words, so a bad value gets argparse's usage message;
 # the override then holds the schema parser's result.
+_SEED_FLAG = {"--seed": (("experiment", "seed"), "master seed", None)}
 _COMMON_FLAGS = {
-    "--seed": (("experiment", "seed"), "master seed", None),
+    **_SEED_FLAG,
     "--out-dir": (("experiment", "out_dir"), "artifact directory", None),
     "--layers": (("geometry", "layers"), "trainable layer count", None),
     "--atoms-rows": (("geometry", "atoms_rows"), None, None),
@@ -59,185 +61,130 @@ _TRAINING_FLAGS = {
     "--train-noise": (("training", "train_noise"), None, ("on", "off")),
 }
 _DATA_FLAGS = {
-    "--data": (
-        ("data", "dataset"),
-        "patch dataset (.simiq1); defaults to the config data block",
-        None,
-    ),
+    "--data": (("data", "dataset"), "patch dataset (.simiq1); defaults to the config data block", None),
 }
-OVERRIDE_FLAGS = {**_COMMON_FLAGS, **_TRAINING_FLAGS, **_DATA_FLAGS}
-
-
-def _add_flags(parser, flags: dict) -> None:
-    for flag, (key, help_text, words) in flags.items():
-        type_ = None if words else parser_for(key)
-        parser.add_argument(flag, type=type_, choices=words, help=help_text)
-
-
-def _add_config_overrides(parser, training=True):
-    parser.add_argument("--config", help="config file (key = value under [section] headers)")
-    _add_flags(parser, _COMMON_FLAGS)
-    if training:
-        _add_flags(parser, _TRAINING_FLAGS)
+_SYNTH_FLAGS = {
+    **_SEED_FLAG,
+    "--height": (("data", "synth_height"), None, None),
+    "--width": (("data", "synth_width"), None, None),
+    "--layout": (("data", "synth_layout"), None, SYNTH_LAYOUTS),
+    "--ocean-sigma": (("data", "ocean_sigma"), None, None),
+    "--land-sigma": (("data", "land_sigma"), None, None),
+    "--texture": (("data", "phase_texture"), None, ("on", "off")),
+}
+_PATCH_FLAGS = {
+    "--in": (("data", "scene"), "scene to cut (.simsc1)", None),
+    "--side": (("data", "patch_side"), None, None),
+    "--stride": (("data", "stride"), None, None),
+}
+_MODEL_FLAGS = {**_COMMON_FLAGS, **_TRAINING_FLAGS}
 
 
 def _overrides_from_args(args) -> dict:
     overrides = {}
-    for flag, (key, _, _) in OVERRIDE_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+    for flag, (key, _, _) in COMMANDS[args.command][2].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             overrides[key] = parser_for(key)(value)
     return overrides
 
 
 def _print_metrics(bundle) -> None:
-    for name, value in (
-        ("precision", bundle.precision),
-        ("recall", bundle.recall),
-        ("f1", bundle.f1),
-        ("overall accuracy", bundle.overall_accuracy),
-    ):
+    for name, value in bundle.summary():
         print(f"{name} {format_percent(value)}")
 
 
-def _cmd_synth(args) -> int:
-    rng = seeding.stream(args.seed, seeding.SYNTH)
-    scene = synthesize_scene(
-        args.height,
-        args.width,
-        class_layout=args.layout,
-        ocean_sigma=args.ocean_sigma,
-        land_sigma=args.land_sigma,
-        land_phase_texture=args.texture == "on",
-        rng=rng,
-    )
-    save_scene(args.out, scene)
-    print(f"wrote {args.height}x{args.width} {args.layout} scene to {args.out}")
+def _cmd_synth(config, args) -> int:
+    h, w = write_scene(config, args.out).samples.shape
+    print(f"wrote {h}x{w} {config.data.synth.layout} scene to {args.out}")
     return 0
 
 
-def _cmd_patch(args) -> int:
-    scene = load_scene(getattr(args, "in"))
-    patches = extract_patches(scene, side=args.side, stride=args.stride)
-    save_dataset(args.out, patches)
-    print(f"wrote {len(patches)} patches (side {args.side}, stride {args.stride}) to {args.out}")
+def _cmd_patch(config, args) -> int:
+    patches = write_patches(config, args.out)
+    d = config.data
+    print(f"wrote {len(patches)} patches (side {d.patch_side}, stride {d.stride}) to {args.out}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = resolve_config(args.config, _overrides_from_args(args))
-    prep = prepare_experiment(config)
-    with stage("train"):
-        params, history = train(
-            prep.dataset, prep.geometry, prep.channel, config.training, kind=config.model_kind
-        )
-    with stage("write-artifacts"):
-        params_path, history_path = write_training_artifacts(config, params, history)
+def _cmd_train(config, args) -> int:
+    _, history, written = fit(config, prepare_experiment(config))
     last = history[-1]
     print(
         f"trained {config.model_kind} model for {last.epoch} epochs; "
         f"final train loss {last.loss:.4f}, accuracy {format_percent(last.accuracy)}"
     )
-    print(f"wrote {params_path} and {history_path}")
+    print(f"wrote {' and '.join(written)}")
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = resolve_config(args.config, _overrides_from_args(args))
-    with stage("params"):
-        params = load_params(args.params)
-    prep = prepare_experiment(config)
-    with stage("evaluate"):
-        predictions, bundle = evaluate(
-            params, prep.dataset, prep.geometry, prep.channel, config.training
-        )
-    with stage("write-artifacts"):
-        report_path, map_path = write_evaluation_artifacts(
-            config, predictions, bundle, prep.dataset
-        )
-    if map_path is not None:
-        print(f"wrote {report_path} and {map_path}")
-    else:
-        print(f"wrote {report_path} (no full patch grid; class map skipped)")
+def _cmd_eval(config, args) -> int:
+    params = load_trained(config, args.params)
+    bundle, written = deploy(config, prepare_experiment(config), params)
+    skipped = "" if len(written) == 2 else " (no full patch grid; class map skipped)"
+    print(f"wrote {' and '.join(written)}{skipped}")
     _print_metrics(bundle)
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    config = resolve_config(args.config, _overrides_from_args(args))
+def _cmd_run(config, args) -> int:
+    _print_metrics(run_experiment(config))
+    return 0
+
+
+def _cmd_ablate(config, args) -> int:
     rows = run_ablation_suite(config)
     table = format_ablation_table(rows)
-    os.makedirs(config.output_dir, exist_ok=True)
-    table_path = os.path.join(config.output_dir, "ablation.txt")
-    with open(table_path, "w") as fh:
-        fh.write(table)
+    with stage("write-artifacts"):
+        table_path = artifact_path(config, "ablation.txt")
+        with open(table_path, "w") as fh:
+            fh.write(table)
     print(table, end="")
     print(f"wrote {table_path}")
     return 0 if all(r.error is None for r in rows) else 2
 
 
-def _cmd_run(args) -> int:
-    config = resolve_config(args.config, _overrides_from_args(args))
-    _print_metrics(run_experiment(config).metrics)
-    return 0
-
-
-def _cmd_dump_matrix(args) -> int:
-    config = resolve_config(args.config, _overrides_from_args(args))
-    geometry = build_geometry(config.geometry)
-    dump_matrix_text(build_transmission_matrix(geometry), args.out)
+def _cmd_dump_matrix(config, args) -> int:
+    with stage("configure"):
+        geometry = build_geometry(config.geometry)
+    with stage("write-artifacts"):
+        dump_matrix_text(build_transmission_matrix(geometry), args.out)
     m = geometry.atoms_per_layer
     print(f"wrote {m}x{m} transmission matrix to {args.out}")
     return 0
 
 
+# command -> (help, handler, override flags)
+COMMANDS = {
+    "synth": ("generate a synthetic IQ scene (.simsc1)", _cmd_synth, _SYNTH_FLAGS),
+    "patch": ("cut a scene into a patch dataset (.simiq1)", _cmd_patch, _PATCH_FLAGS),
+    "train": (
+        "offline training: fit phases on a patch sample", _cmd_train, {**_DATA_FLAGS, **_MODEL_FLAGS}
+    ),
+    "eval": ("deploy trained parameters over a dataset", _cmd_eval, {**_DATA_FLAGS, **_MODEL_FLAGS}),
+    "run": ("full pipeline: data, train, eval, artifacts", _cmd_run, _MODEL_FLAGS),
+    "ablate": ("run the scenario grid and print the table", _cmd_ablate, _MODEL_FLAGS),
+    "dump-matrix": (
+        "dump the layer-to-layer transmission matrix as text", _cmd_dump_matrix, _COMMON_FLAGS
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simd2nn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    synth, data = SynthConfig(), DataConfig()
-    p = sub.add_parser("synth", help="generate a synthetic IQ scene (.simsc1)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=ExperimentConfig().master_seed)
-    p.add_argument("--height", type=int, default=synth.height)
-    p.add_argument("--width", type=int, default=synth.width)
-    p.add_argument("--layout", choices=["half-split", "blobs"], default=synth.layout)
-    p.add_argument("--ocean-sigma", type=float, default=synth.ocean_sigma)
-    p.add_argument("--land-sigma", type=float, default=synth.land_sigma)
-    texture = "on" if synth.phase_texture else "off"
-    p.add_argument("--texture", choices=["on", "off"], default=texture)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("patch", help="cut a scene into a patch dataset (.simiq1)")
-    p.add_argument("--in", required=True, dest="in")
-    p.add_argument("--out", required=True)
-    p.add_argument("--side", type=int, default=data.patch_side)
-    p.add_argument("--stride", type=int, default=data.stride)
-    p.set_defaults(func=_cmd_patch)
-
-    p = sub.add_parser("train", help="offline training: fit phases on a patch sample")
-    _add_flags(p, _DATA_FLAGS)
-    _add_config_overrides(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="deploy trained parameters over a dataset")
-    p.add_argument("--params", required=True, help="trained parameter file (.simth1)")
-    _add_flags(p, _DATA_FLAGS)
-    _add_config_overrides(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("run", help="full pipeline: data, train, eval, artifacts")
-    _add_config_overrides(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("ablate", help="run the scenario grid and print the table")
-    _add_config_overrides(p)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("dump-matrix", help="dump the layer-to-layer transmission matrix as text")
-    p.add_argument("--out", required=True)
-    _add_config_overrides(p, training=False)
-    p.set_defaults(func=_cmd_dump_matrix)
+    for name, (help_text, func, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in ("synth", "patch", "dump-matrix"):
+            p.add_argument("--out", required=True)
+        if name == "eval":
+            p.add_argument("--params", required=True, help="trained parameter file (.simth1)")
+        if name not in ("synth", "patch"):
+            p.add_argument("--config", help="config file (key = value under [section] headers)")
+        for flag, (key, flag_help, words) in flags.items():
+            type_ = None if words else parser_for(key)
+            p.add_argument(flag, type=type_, choices=words, help=flag_help, required=flag == "--in")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -246,7 +193,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with stage("configure"):
+            config = resolve_config(getattr(args, "config", None), _overrides_from_args(args))
+        return args.func(config, args)
     except (ConfigurationError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

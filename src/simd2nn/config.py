@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .channel import ChannelConfig
+from .data import SYNTH_LAYOUTS
 from .errors import ConfigurationError
 from .geometry import GeometryConfig
 from .training import TrainConfig
@@ -39,6 +40,21 @@ class DataConfig:
     @property
     def rotation_angle_rad(self) -> float:
         return math.radians(self.rotation_angle_deg)
+
+    def validate(self) -> None:
+        s, angle = self.synth, self.rotation_angle_deg
+        for key, value, rule, ok in (
+            ("synth_height", s.height, ">= 1", s.height >= 1),
+            ("synth_width", s.width, ">= 1", s.width >= 1),
+            ("synth_layout", s.layout, f"one of {', '.join(SYNTH_LAYOUTS)}", s.layout in SYNTH_LAYOUTS),
+            ("ocean_sigma", s.ocean_sigma, "finite and > 0", 0 < s.ocean_sigma < math.inf),
+            ("land_sigma", s.land_sigma, "finite and > 0", 0 < s.land_sigma < math.inf),
+            ("patch_side", self.patch_side, ">= 1", self.patch_side >= 1),
+            ("stride", self.stride, ">= 1", self.stride >= 1),
+            ("rotation_angle_deg", angle, "finite", math.isfinite(angle)),
+        ):
+            if not ok:
+                raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ logger = logging.getLogger("simd2nn.data")
 LAND_COHERENT_FRACTION = 0.6
 TEXTURE_PERIOD_PX = 256.0
 
+SYNTH_LAYOUTS = ("half-split", "blobs")
+
 
 @dataclass
 class IqScene:
@@ -180,12 +182,18 @@ class EncodedDataset:
         return self.features.shape[0]
 
     def grid_shape(self) -> tuple[int, int] | None:
-        """(rows, cols) of the patch grid when the origins form a full grid."""
+        """(rows, cols) of the patch grid when the origins are exactly the
+        row-major product of their unique rows and columns, else None."""
         if len(self) == 0:
             return None
         rows = np.unique(self.origins[:, 0])
         cols = np.unique(self.origins[:, 1])
         if rows.size * cols.size != len(self):
+            return None
+        # R*C origins taken from R rows and C columns, in strictly increasing
+        # row-major order, hold no duplicate, so they are the whole grid
+        d_row, d_col = np.diff(self.origins[:, 0]), np.diff(self.origins[:, 1])
+        if not ((d_row > 0) | ((d_row == 0) & (d_col > 0))).all():
             return None
         return rows.size, cols.size
 
@@ -283,6 +291,8 @@ def save_dataset(path: str, patches: list[IqPatch]) -> None:
 def load_dataset(path: str) -> list[IqPatch]:
     with open(path, "rb") as fh:
         count, side = read_header(fh, DATASET_MAGIC, "<II")
+        if count and not side:
+            raise FormatError(f"zero side in the header at byte offset 6: {count} patches of side 0")
         record = 9 + 8 * side * side  # label, origin row/col, samples
         check_size(fh, count * record, f"{count} patches of side {side}")
         patches = []
@@ -310,6 +320,8 @@ def save_scene(path: str, scene: IqScene) -> None:
 def load_scene(path: str) -> IqScene:
     with open(path, "rb") as fh:
         h, w = read_header(fh, SCENE_MAGIC, "<II")
+        if not (h and w):
+            raise FormatError(f"zero side in the header at byte offset 6: a {h}x{w} scene")
         check_size(fh, 8 * h * w + 1, f"{h}x{w} samples and a mask flag", exact=False)
         samples = np.frombuffer(fh.read(8 * h * w), dtype="<c8").reshape(h, w).copy()
         flag_at = fh.tell()

@@ -1,12 +1,11 @@
-"""End-to-end experiment runner and the ablation suite.
+"""What each command runs, as named stages, and the ablation suite.
 
-One experiment: build geometry, obtain patches (synthetic, scene file, or
-dataset file), encode, draw the block-fading channel once, train on a
-sampled split, evaluate every patch, and write the four artifacts (trained
-parameters, training history, metrics report, class map). Everything is
-keyed off the master seed, so a rerun is byte-identical. The CLI's
-``train`` and ``eval`` commands run the same stages: ``prepare_experiment``
-and the artifact writers.
+``run_experiment`` is ``prepare_experiment`` (configure, data, encode,
+channel), ``fit`` (train, then write the parameters and history) and
+``deploy`` (evaluate, then write the report and class map); the CLI's
+``train`` and ``eval`` call the same functions. Errors carry the name of the
+stage that raised them. Everything is keyed off the master seed, so a rerun
+is byte-identical.
 """
 
 import logging
@@ -14,37 +13,29 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import seeding
 from .channel import ChannelState, realize_channel
 from .config import ExperimentConfig
 from .data import (
     EncodedDataset,
     IqPatch,
+    IqScene,
     derive_downsample_factor,
     encode_patches,
     extract_patches,
     load_dataset,
     load_scene,
+    save_dataset,
+    save_scene,
     synthesize_scene,
 )
 from .errors import ConfigurationError, SimError
 from .geometry import SimGeometry, build_geometry
 from .metrics import MetricsBundle, export_class_map, format_percent, format_report
-from .network import DigitalParams, PhaseParams, save_params
+from .network import DIGITAL, DigitalParams, PhaseParams, load_params, save_params
 from .training import EpochStats, evaluate, save_history, train
 
 logger = logging.getLogger("simd2nn.experiment")
-
-
-@dataclass
-class ExperimentResult:
-    metrics: MetricsBundle
-    params_path: str
-    history_path: str
-    report_path: str
-    class_map_path: str | None
 
 
 @contextmanager
@@ -56,27 +47,59 @@ def stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def artifact_path(config: ExperimentConfig, name: str) -> str:
+    """Path of an artifact in the output directory, which is made if missing."""
+    os.makedirs(config.output_dir, exist_ok=True)
+    return os.path.join(config.output_dir, name)
+
+
+def synthesize_for_config(config: ExperimentConfig) -> IqScene:
+    s = config.data.synth
+    return synthesize_scene(
+        s.height,
+        s.width,
+        class_layout=s.layout,
+        ocean_sigma=s.ocean_sigma,
+        land_sigma=s.land_sigma,
+        land_phase_texture=s.phase_texture,
+        rng=seeding.stream(config.master_seed, seeding.SYNTH),
+    )
+
+
 def obtain_patches(config: ExperimentConfig) -> list[IqPatch]:
     """Patches from the configured source: dataset file, scene file, or synth."""
     d = config.data
     if d.dataset_path is not None:
         return load_dataset(d.dataset_path)
-    if d.scene_path is not None:
-        scene = load_scene(d.scene_path)
-    else:
-        scene = synthesize_scene(
-            d.synth.height,
-            d.synth.width,
-            class_layout=d.synth.layout,
-            ocean_sigma=d.synth.ocean_sigma,
-            land_sigma=d.synth.land_sigma,
-            land_phase_texture=d.synth.phase_texture,
-            rng=seeding.stream(config.master_seed, seeding.SYNTH),
-        )
+    scene = load_scene(d.scene_path) if d.scene_path is not None else synthesize_for_config(config)
     return extract_patches(scene, side=d.patch_side, stride=d.stride)
 
 
+def write_scene(config: ExperimentConfig, path: str) -> IqScene:
+    """The ``synth`` command: validate, then synthesize and save a scene."""
+    configure(config, cuts_patches=False)
+    with stage("data"):
+        scene = synthesize_for_config(config)
+        save_scene(path, scene)
+    return scene
+
+
+def write_patches(config: ExperimentConfig, path: str) -> list[IqPatch]:
+    """The ``patch`` command: validate, then cut and save the patches."""
+    configure(config, cuts_patches=False)
+    with stage("data"):
+        patches = obtain_patches(config)
+        save_dataset(path, patches)
+    return patches
+
+
 def encode_for_config(config: ExperimentConfig, patches: list[IqPatch]) -> EncodedDataset:
+    k = config.channel.num_rx_antennas
+    for i, patch in enumerate(patches):
+        if patch.label >= k:
+            raise ConfigurationError(
+                f"patch {i} at origin {patch.origin} has label {patch.label}, but rx_antennas = {k}"
+            )
     return encode_patches(
         patches,
         m_atoms=config.geometry.atoms_rows * config.geometry.atoms_cols,
@@ -103,14 +126,14 @@ class PreparedExperiment:
 def configure(config: ExperimentConfig, cuts_patches: bool) -> SimGeometry:
     """The configure stage: validate every setting before any data work.
 
-    When the patches are cut from a scene or a synthetic one
-    (``cuts_patches`` and no ``dataset_path``), it also checks the pairing
-    of patch side and atom count.
+    When patches are cut (``cuts_patches`` and no ``dataset_path``), it also
+    checks the pairing of patch side and atom count.
     """
     with stage("configure"):
         geometry = build_geometry(config.geometry)
         config.channel.validate()
         config.training.validate()
+        config.data.validate()
         if cuts_patches and config.data.dataset_path is None:
             derive_downsample_factor(config.data.patch_side, geometry.atoms_per_layer)
     return geometry
@@ -136,85 +159,85 @@ def prepare_experiment(
     return PreparedExperiment(geometry=geometry, dataset=dataset, channel=channel)
 
 
-def write_training_artifacts(
-    config: ExperimentConfig, params: PhaseParams | DigitalParams, history: list[EpochStats]
-) -> tuple[str, str]:
-    """Write ``params.simth1`` and ``history.txt``; returns their paths."""
-    os.makedirs(config.output_dir, exist_ok=True)
-    params_path = os.path.join(config.output_dir, "params.simth1")
-    history_path = os.path.join(config.output_dir, "history.txt")
-    save_params(params_path, params)
-    save_history(history_path, history)
-    return params_path, history_path
+def load_trained(config: ExperimentConfig, path: str) -> PhaseParams | DigitalParams:
+    """The params stage: load trained parameters that fit the configured geometry."""
+    with stage("params"):
+        params = load_params(path)
+        found = (params.weights if params.kind == DIGITAL else params.theta).shape
+        g = config.geometry
+        wanted = (g.num_layers, g.atoms_rows * g.atoms_cols)
+        if found != wanted:
+            raise ConfigurationError(
+                f"{path} holds (layers, atoms) = {found}, but the config gives {wanted}"
+            )
+    return params
 
 
-def write_evaluation_artifacts(
-    config: ExperimentConfig,
-    predictions: np.ndarray,
-    bundle: MetricsBundle,
-    dataset: EncodedDataset,
-) -> tuple[str, str | None]:
-    """Write ``report.txt`` and, for a full patch grid, ``class_map.pgm``.
-
-    Returns the report path and the class-map path (None when skipped).
-    """
-    os.makedirs(config.output_dir, exist_ok=True)
-    report_path = os.path.join(config.output_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(format_report(bundle))
-    grid = dataset.grid_shape()
-    if grid is None:
-        logger.warning("patch origins do not form a full grid; skipping class-map export")
-        return report_path, None
-    class_map_path = os.path.join(config.output_dir, "class_map.pgm")
-    export_class_map(predictions.reshape(grid), config.channel.num_rx_antennas, class_map_path)
-    return report_path, class_map_path
-
-
-def run_experiment(
-    config: ExperimentConfig, patches: list[IqPatch] | None = None
-) -> ExperimentResult:
-    """Run one full train/deploy cycle and write artifacts to the output dir.
-
-    Errors carry the failing stage name (configure, data, encode, channel,
-    train, evaluate, write-artifacts).
-    """
-    prep = prepare_experiment(config, patches)
+def fit(
+    config: ExperimentConfig, prep: PreparedExperiment
+) -> tuple[PhaseParams | DigitalParams, list[EpochStats], list[str]]:
+    """Train, then write ``params.simth1`` and ``history.txt``; returns the
+    parameters, the per-epoch history and the paths written."""
     with stage("train"):
         params, history = train(
             prep.dataset, prep.geometry, prep.channel, config.training, kind=config.model_kind
         )
+    with stage("write-artifacts"):
+        params_path = artifact_path(config, "params.simth1")
+        history_path = artifact_path(config, "history.txt")
+        save_params(params_path, params)
+        save_history(history_path, history)
+    return params, history, [params_path, history_path]
+
+
+def deploy(
+    config: ExperimentConfig, prep: PreparedExperiment, params: PhaseParams | DigitalParams
+) -> tuple[MetricsBundle, list[str]]:
+    """Evaluate every patch, then write ``report.txt`` and, for a full patch
+    grid, ``class_map.pgm``; returns the metrics and the paths written."""
     with stage("evaluate"):
         predictions, bundle = evaluate(
             params, prep.dataset, prep.geometry, prep.channel, config.training
         )
     with stage("write-artifacts"):
-        params_path, history_path = write_training_artifacts(config, params, history)
-        report_path, class_map_path = write_evaluation_artifacts(
-            config, predictions, bundle, prep.dataset
-        )
-    return ExperimentResult(
-        metrics=bundle,
-        params_path=params_path,
-        history_path=history_path,
-        report_path=report_path,
-        class_map_path=class_map_path,
-    )
+        report_path = artifact_path(config, "report.txt")
+        with open(report_path, "w") as fh:
+            fh.write(format_report(bundle))
+        grid = prep.dataset.grid_shape()
+        if grid is None:
+            logger.warning("patch origins do not form a full grid; skipping class-map export")
+            return bundle, [report_path]
+        map_path = artifact_path(config, "class_map.pgm")
+        export_class_map(predictions.reshape(grid), config.channel.num_rx_antennas, map_path)
+    return bundle, [report_path, map_path]
+
+
+def run_experiment(
+    config: ExperimentConfig, patches: list[IqPatch] | None = None
+) -> MetricsBundle:
+    """Run one full train/deploy cycle, writing artifacts to the output dir.
+
+    Errors carry the failing stage name (configure, data, encode, channel,
+    train, evaluate, write-artifacts).
+    """
+    prep = prepare_experiment(config, patches)
+    params, _, _ = fit(config, prep)
+    return deploy(config, prep, params)[0]
 
 
 # Table-style ablation rows: name -> config transform. Each row differs from
 # the baseline in exactly one factor; the digital baseline swaps the model.
 def _ablation_rows():
+    def change(part, **fields):
+        return lambda c: replace(c, **{part: replace(getattr(c, part), **fields)})
+
     return [
-        ("SIM-D2NN (L=1)", lambda c: replace(c, geometry=replace(c.geometry, num_layers=1))),
-        ("SIM-D2NN (L=6)", lambda c: replace(c, geometry=replace(c.geometry, num_layers=6))),
-        ("SIM-D2NN (S=5%)", lambda c: replace(c, training=replace(c.training, sample_rate=0.05))),
-        ("SIM-D2NN (S=20%)", lambda c: replace(c, training=replace(c.training, sample_rate=0.20))),
-        ("SIM-D2NN (Pt=5dBm)", lambda c: replace(c, channel=replace(c.channel, tx_power_dbm=5.0))),
-        (
-            "SIM-D2NN (no phase rotation)",
-            lambda c: replace(c, data=replace(c.data, phase_rotation=False)),
-        ),
+        ("SIM-D2NN (L=1)", change("geometry", num_layers=1)),
+        ("SIM-D2NN (L=6)", change("geometry", num_layers=6)),
+        ("SIM-D2NN (S=5%)", change("training", sample_rate=0.05)),
+        ("SIM-D2NN (S=20%)", change("training", sample_rate=0.20)),
+        ("SIM-D2NN (Pt=5dBm)", change("channel", tx_power_dbm=5.0)),
+        ("SIM-D2NN (no phase rotation)", change("data", phase_rotation=False)),
         ("SIM-D2NN (baseline)", lambda c: c),
         ("Digital DNN", lambda c: replace(c, model_kind="digital")),
     ]
@@ -234,15 +257,15 @@ def run_ablation_suite(base: ExperimentConfig) -> list[AblationRow]:
     configure stage runs before the shared patches are made.
     """
     configure(base, cuts_patches=True)
-    patches = obtain_patches(base)
+    with stage("data"):
+        patches = obtain_patches(base)
     rows: list[AblationRow] = []
     for name, transform in _ablation_rows():
         slug = name.lower().replace(" ", "-").replace("(", "").replace(")", "").replace("%", "pct")
         cfg = transform(base)
         cfg = replace(cfg, output_dir=os.path.join(base.output_dir, slug))
         try:
-            result = run_experiment(cfg, patches=patches)
-            rows.append(AblationRow(name=name, metrics=result.metrics))
+            rows.append(AblationRow(name=name, metrics=run_experiment(cfg, patches=patches)))
         except SimError as exc:
             logger.error("ablation row %r failed: %s", name, exc)
             rows.append(AblationRow(name=name, metrics=None, error=str(exc)))
@@ -250,21 +273,14 @@ def run_ablation_suite(base: ExperimentConfig) -> list[AblationRow]:
 
 
 def format_ablation_table(rows: list[AblationRow]) -> str:
-    headers = ["Scenario", "Precision (%)", "Recall (%)", "F1 (%)", "OA (%)"]
-    table = [headers]
+    table = [["Scenario", "Precision (%)", "Recall (%)", "F1 (%)", "OA (%)"]]
     for row in rows:
         if row.metrics is None:
-            table.append([row.name, "failed", "failed", "failed", "failed"])
-            continue
-        b = row.metrics
-        table.append(
-            [row.name]
-            + [format_percent(v).rstrip("%") for v in (b.precision, b.recall, b.f1, b.overall_accuracy)]
-        )
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = []
-    for i, r in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * widths[j] for j in range(len(headers))))
+            cells = ["failed"] * 4
+        else:
+            cells = [format_percent(v).rstrip("%") for _, v in row.metrics.summary()]
+        table.append([row.name, *cells])
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"

@@ -21,6 +21,15 @@ class MetricsBundle:
     f1: float | None
     overall_accuracy: float
 
+    def summary(self) -> list[tuple[str, float | None]]:
+        """The four headline metrics as (name, value) pairs, in report order."""
+        return [
+            ("precision", self.precision),
+            ("recall", self.recall),
+            ("f1", self.f1),
+            ("overall accuracy", self.overall_accuracy),
+        ]
+
 
 def compute_metrics(
     predictions, labels, positive_class: int = 1, num_classes: int | None = None
@@ -65,13 +74,7 @@ def _fmt(value: float | None) -> str:
 
 def format_report(bundle: MetricsBundle) -> str:
     """One line per metric, fractions with four decimals."""
-    lines = [
-        f"precision {_fmt(bundle.precision)}",
-        f"recall {_fmt(bundle.recall)}",
-        f"f1 {_fmt(bundle.f1)}",
-        f"overall_accuracy {_fmt(bundle.overall_accuracy)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name.replace(' ', '_')} {_fmt(v)}\n" for name, v in bundle.summary())
 
 
 def format_percent(value: float | None) -> str:

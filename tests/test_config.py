@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simd2nn.cli import OVERRIDE_FLAGS, _overrides_from_args, build_parser
+from simd2nn.cli import COMMANDS, _overrides_from_args, build_parser
 from simd2nn.config import (
     _SCHEMA,
     ExperimentConfig,
@@ -237,13 +237,29 @@ def test_each_key_sets_exactly_its_field(key):
     assert after[path] == value
 
 
+# the arguments each command needs before its flags parse
+REQUIRED_ARGS = {
+    "synth": ["--out", "o"],
+    "patch": ["--in", "s", "--out", "o"],
+    "eval": ["--params", "p"],
+    "dump-matrix": ["--out", "o"],
+}
+COMMAND_FLAGS = {command: flags for command, (_, _, flags) in COMMANDS.items()}
+OVERRIDE_FLAGS = {flag: spec for flags in COMMAND_FLAGS.values() for flag, spec in flags.items()}
+
+
 @pytest.mark.parametrize("flag", list(OVERRIDE_FLAGS))
 def test_every_cli_override_flag_sets_a_schema_key(flag):
     key, _, words = OVERRIDE_FLAGS[flag]
     assert key in _SCHEMA
     text = words[-1] if words else "3"
-    args = build_parser().parse_args(["train", flag, text])
-    assert _overrides_from_args(args) == {key: _SCHEMA[key][1](text)}
+    owners = [command for command, flags in COMMAND_FLAGS.items() if flag in flags]
+    for command in owners:
+        assert COMMAND_FLAGS[command][flag] == OVERRIDE_FLAGS[flag]
+        required = REQUIRED_ARGS.get(command, [])
+        base = _overrides_from_args(build_parser().parse_args([command, *required]))
+        args = build_parser().parse_args([command, *required, flag, text])
+        assert _overrides_from_args(args) == {**base, key: _SCHEMA[key][1](text)}, command
 
 
 def test_cli_on_off_flags_give_booleans():

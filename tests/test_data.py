@@ -224,6 +224,24 @@ def test_encode_patches_shapes_and_unit_ceiling():
     assert ds.grid_shape() == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "origins, shape",
+    [
+        pytest.param([(0, 0), (0, 32), (32, 0), (32, 32)], (2, 2), id="full-grid"),
+        pytest.param([(0, 0), (0, 32), (32, 0), (0, 0)], None, id="duplicate"),
+        pytest.param([(32, 32), (32, 0), (0, 32), (0, 0)], None, id="reversed"),
+        pytest.param([(0, 0), (0, 32), (32, 0)], None, id="missing-corner"),
+    ],
+)
+def test_grid_shape_only_for_a_row_major_full_grid(origins, shape):
+    ds = EncodedDataset(
+        features=np.zeros((len(origins), 8), dtype=np.complex128),
+        labels=np.zeros(len(origins), dtype=np.int64),
+        origins=np.asarray(origins, dtype=np.int64),
+    )
+    assert ds.grid_shape() == shape
+
+
 def test_encode_skips_degenerate_patch(caplog):
     good = IqPatch(samples=np.ones((8, 8), dtype=np.complex64), origin=(0, 0), label=1)
     dead = IqPatch(samples=np.zeros((8, 8), dtype=np.complex64), origin=(0, 8), label=0)
@@ -337,11 +355,18 @@ CORRUPTIONS = {
     "one-byte-short": (lambda b: b[:-1], "truncated file"),
     "trailing-byte": (lambda b: b + b"\x00", "trailing bytes"),
     "bad-magic": (lambda b: b"NOTMAG" + b[6:], "bad magic"),
+    # the second header field: the patch side, or the scene width
+    "zero-side": (lambda b: b[:10] + bytes(4) + b[14:], "zero side"),
 }
+CORRUPT_FILES = [
+    (fmt, case)
+    for case in CORRUPTIONS
+    for fmt in ("dataset", "scene", "params")
+    if case != "zero-side" or fmt != "params"
+]
 
 
-@pytest.mark.parametrize("case", CORRUPTIONS)
-@pytest.mark.parametrize("fmt", ["dataset", "scene", "params"])
+@pytest.mark.parametrize("fmt, case", CORRUPT_FILES)
 def test_corrupt_file_fails_naming_byte_offset(tmp_path, fmt, case):
     path, loader = _saved_file(tmp_path, fmt)
     corrupt, problem = CORRUPTIONS[case]

@@ -1,14 +1,17 @@
 import os
+import shlex
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simd2nn.cli import main
+from simd2nn import seeding
+from simd2nn.cli import COMMANDS, build_parser, main
 from simd2nn.config import DataConfig, ExperimentConfig, SynthConfig
-from simd2nn.data import load_dataset, load_scene, save_dataset
-from simd2nn.errors import ConfigurationError
+from simd2nn.data import extract_patches, load_dataset, load_scene, save_dataset, synthesize_scene
+from simd2nn.errors import ConfigurationError, ShapeError
 from simd2nn.experiment import (
     format_ablation_table,
     obtain_patches,
@@ -17,6 +20,7 @@ from simd2nn.experiment import (
 )
 from simd2nn.geometry import GeometryConfig, build_geometry
 from simd2nn.metrics import read_class_map
+from simd2nn.network import PhaseParams, save_params
 from simd2nn.propagation import build_propagation
 from simd2nn.training import TrainConfig
 
@@ -37,17 +41,19 @@ def tiny_config(out_dir, scene=192, **data_kwargs):
     )
 
 
+ARTIFACTS = ("params.simth1", "history.txt", "report.txt", "class_map.pgm")
+
+
 def test_run_experiment_writes_all_artifacts(tmp_path):
-    result = run_experiment(tiny_config(tmp_path / "run"))
-    assert os.path.exists(result.params_path)
-    assert os.path.exists(result.history_path)
-    assert os.path.exists(result.report_path)
-    assert result.class_map_path and os.path.exists(result.class_map_path)
-    history = open(result.history_path).read().splitlines()
+    out = tmp_path / "run"
+    bundle = run_experiment(tiny_config(out))
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+    history = (out / "history.txt").read_text().splitlines()
     assert len(history) == 3
-    report = open(result.report_path).read().splitlines()
+    report = (out / "report.txt").read_text().splitlines()
     assert len(report) == 4 and report[0].startswith("precision")
-    grid = read_class_map(result.class_map_path, 2)
+    assert report[3] == f"overall_accuracy {bundle.overall_accuracy:.4f}"
+    grid = read_class_map(str(out / "class_map.pgm"), 2)
     assert grid.shape == (5, 5)
 
 
@@ -78,15 +84,10 @@ def test_run_experiment_names_failing_stage(tmp_path):
 
 
 def test_run_experiment_deterministic(tmp_path):
-    r1 = run_experiment(tiny_config(tmp_path / "a"))
-    r2 = run_experiment(tiny_config(tmp_path / "b"))
-    for a, b in [
-        (r1.params_path, r2.params_path),
-        (r1.history_path, r2.history_path),
-        (r1.report_path, r2.report_path),
-        (r1.class_map_path, r2.class_map_path),
-    ]:
-        assert open(a, "rb").read() == open(b, "rb").read()
+    run_experiment(tiny_config(tmp_path / "a"))
+    run_experiment(tiny_config(tmp_path / "b"))
+    for name in ARTIFACTS:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_ablation_suite_rows(tmp_path):
@@ -368,3 +369,154 @@ def test_cli_train_model_flag(tmp_path):
     from simd2nn.network import load_params
 
     assert load_params(str(out_dir / "params.simth1")).kind == "digital"
+
+
+def _no_data(monkeypatch):
+    """From here on, any patch or scene work fails the test."""
+    import simd2nn.experiment as experiment
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data work started before validation")
+
+    monkeypatch.setattr(experiment, "obtain_patches", no_data)
+    monkeypatch.setattr(experiment, "synthesize_scene", no_data)
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, setting",
+    [
+        pytest.param("synth", ["--height", "-3"], None, "synth_height", id="synth-height-negative"),
+        pytest.param("synth", ["--height", "0"], None, "synth_height", id="synth-height-zero"),
+        pytest.param("synth", ["--land-sigma", "nan"], None, "land_sigma", id="synth-land-sigma-nan"),
+        pytest.param("patch", ["--stride", "0"], None, "stride", id="patch-stride-zero"),
+        pytest.param("run", [], "synth_height = -5", "synth_height", id="config-synth-height"),
+        pytest.param("run", [], "ocean_sigma = nan", "ocean_sigma", id="config-ocean-sigma-nan"),
+        pytest.param("run", [], "synth_layout = rings", "synth_layout", id="config-layout"),
+        pytest.param("train", [], "stride = 0", "stride", id="config-stride-zero"),
+        pytest.param(
+            "run", [], "rotation_angle_deg = nan", "rotation_angle_deg", id="config-rotation-nan"
+        ),
+    ],
+)
+def test_cli_rejects_bad_data_settings_in_configure(
+    tmp_path, capsys, monkeypatch, command, flags, config, setting
+):
+    _no_data(monkeypatch)
+    args = [command, *flags]
+    if command == "synth":
+        args += ["--out", str(tmp_path / "scene.simsc1")]
+    elif command == "patch":
+        args += ["--in", str(tmp_path / "scene.simsc1"), "--out", str(tmp_path / "d.simiq1")]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"[data]\n{config}\n")
+        args += ["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"config error: configure: {setting} must be" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) in ([], ["run.cfg"])
+
+
+def _write_scene_header(path, height, width):
+    path.write_bytes(b"SIMSC1" + struct.pack("<II", height, width) + bytes(9))
+
+
+# case -> (arguments, exit code, start of the error line); {tmp} is the test's directory
+STAGE_ERRORS = {
+    "synth-height-zero": (
+        ["synth", "--out", "{tmp}/s.simsc1", "--height", "0"], 1, "config error: configure:"
+    ),
+    "patch-missing-scene": (
+        ["patch", "--in", "{tmp}/missing.simsc1", "--out", "{tmp}/d.simiq1"], 2, "error: data:"
+    ),
+    "patch-huge-scene": (
+        ["patch", "--in", "{tmp}/huge.simsc1", "--out", "{tmp}/d.simiq1"],
+        1,
+        "config error: data: truncated file",
+    ),
+    "ablate-missing-scene": (
+        ["ablate", "--config", "{tmp}/missing-scene.cfg", "--out-dir", "{tmp}/out"], 2, "error: data:"
+    ),
+    "dump-matrix-no-rows": (
+        ["dump-matrix", "--out", "{tmp}/w.txt", "--atoms-rows", "0"], 1, "config error: configure:"
+    ),
+    "train-bad-config-line": (["train", "--config", "{tmp}/bad.cfg"], 1, "config error: configure:"),
+    "run-missing-config": (["run", "--config", "{tmp}/absent.cfg"], 2, "error: configure:"),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_ERRORS)
+def test_cli_errors_name_their_stage(tmp_path, capsys, case):
+    _write_scene_header(tmp_path / "huge.simsc1", 400_000, 400_000)
+    (tmp_path / "missing-scene.cfg").write_text(f"[data]\nscene = {tmp_path}/missing.simsc1\n")
+    (tmp_path / "bad.cfg").write_text("[geometry]\nlayers = zero\n")
+    argv, code, start = STAGE_ERRORS[case]
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and "Traceback" not in err
+
+
+def test_cli_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("simd2nn ")]
+    assert {argv[1] for argv in commands} == set(COMMANDS)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize(
+    "flags, found, wanted",
+    [
+        (["--layers", "4"], "(2, 32)", "(4, 32)"),
+        (["--layers", "2", "--atoms-cols", "16"], "(2, 32)", "(2, 64)"),
+    ],
+    ids=["layers", "atoms"],
+)
+def test_cli_eval_rejects_params_of_another_geometry(tmp_path, capsys, monkeypatch, flags, found, wanted):
+    params_path = tmp_path / "p.simth1"
+    save_params(str(params_path), PhaseParams(theta=np.zeros((2, 32))))
+    _no_data(monkeypatch)
+    argv = ["eval", "--params", str(params_path), "--atoms-rows", "4", "--atoms-cols", "8", *flags]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params:") and found in err and wanted in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "run"])
+def test_cli_label_at_or_above_antenna_count_fails_in_encode(tmp_path, capsys, command):
+    scene = synthesize_scene(192, 192, rng=seeding.stream(0, seeding.SYNTH))
+    patches = extract_patches(scene, side=64, stride=32)
+    patches[3].label = 5
+    data_path = tmp_path / "data.simiq1"
+    save_dataset(str(data_path), patches)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "[geometry]\nlayers = 1\natoms_rows = 4\natoms_cols = 8\n"
+        f"[data]\ndataset = {data_path}\npatch_side = 64\n[training]\nepochs = 1\n"
+    )
+    params_path = tmp_path / "p.simth1"
+    save_params(str(params_path), PhaseParams(theta=np.zeros((1, 32))))
+    extra = ["--params", str(params_path)] if command == "eval" else []
+    assert main([command, "--config", str(cfg_path), *extra, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: encode: patch 3")
+    assert f"origin {patches[3].origin}" in err and "label 5" in err and "rx_antennas = 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_writes_params_and_history_before_it_evaluates(tmp_path, capsys, monkeypatch):
+    import simd2nn.experiment as experiment
+
+    def broken_evaluate(*args, **kwargs):
+        raise ShapeError("evaluation broke")
+
+    monkeypatch.setattr(experiment, "evaluate", broken_evaluate)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--layers", "1", "--atoms-rows", "4", "--atoms-cols", "8", "--epochs", "1"]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[data]\nsynth_height = 192\nsynth_width = 192\npatch_side = 64\n")
+    assert main([*argv, "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: evaluate: evaluation broke")
+    assert sorted(os.listdir(out_dir)) == ["history.txt", "params.simth1"]
