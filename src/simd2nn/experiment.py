@@ -253,19 +253,35 @@ class AblationRow:
 def run_ablation_suite(base: ExperimentConfig) -> list[AblationRow]:
     """Run the scenario grid off one shared patch set; failures don't stop the suite.
 
-    No row changes the atom count or the patch side, so the base config's
-    configure stage runs before the shared patches are made.
+    No row changes the atom count, the patch side, the antenna count or the
+    channel seed, so the base config's configure stage runs before the shared
+    patches are made, the patches are encoded once per phase-rotation setting
+    and the channel is drawn once: the draw does not read the transmit power,
+    the one channel setting a row changes.
     """
     configure(base, cuts_patches=True)
     with stage("data"):
         patches = obtain_patches(base)
+        if not patches:
+            raise ConfigurationError("patch source produced no patches")
+    with stage("channel"):
+        realization = channel_for_config(base).realization
+    encodings: dict[tuple, EncodedDataset] = {}
     rows: list[AblationRow] = []
     for name, transform in _ablation_rows():
         slug = name.lower().replace(" ", "-").replace("(", "").replace(")", "").replace("%", "pct")
         cfg = transform(base)
         cfg = replace(cfg, output_dir=os.path.join(base.output_dir, slug))
         try:
-            rows.append(AblationRow(name=name, metrics=run_experiment(cfg, patches=patches)))
+            geometry = configure(cfg, cuts_patches=False)
+            key = (cfg.data.phase_rotation, cfg.data.rotation_angle_rad)
+            if key not in encodings:
+                with stage("encode"):
+                    encodings[key] = encode_for_config(cfg, patches)
+            channel = ChannelState(cfg=cfg.channel, realization=realization)
+            prep = PreparedExperiment(geometry=geometry, dataset=encodings[key], channel=channel)
+            params, _, _ = fit(cfg, prep)
+            rows.append(AblationRow(name=name, metrics=deploy(cfg, prep, params)[0]))
         except SimError as exc:
             logger.error("ablation row %r failed: %s", name, exc)
             rows.append(AblationRow(name=name, metrics=None, error=str(exc)))

@@ -6,10 +6,13 @@ responses (unit-modulus phasors for the metasurface, unconstrained complex
 weights for the digital baseline), crosses the downlink channel, and is
 classified by the receive antenna with the highest power.
 
-Everything here is linear in the input field, so the whole pass equals a
-single dense matrix product; the cached layer-by-layer path exists because
-the backward pass consumes the fields arriving at each layer. Products with
-the coupling matrix go through ``Propagation.apply``.
+Everything here is linear in the input field, so the whole pass is one
+K x M readout A = H D_L W ... D_1 W diag(tx w0). ``readout_adjoints`` forms
+its adjoints layer by layer at antenna width K and ``receive`` reads a batch
+through A; training uses both. ``forward_batch`` carries the fields layer by
+layer, which ``predict`` and the gradient (at width K) use. Products with
+the coupling matrix go through ``Propagation.apply`` and ``apply_adjoint``,
+and the receiver noise of both paths through ``add_noise``.
 """
 
 import struct
@@ -78,8 +81,11 @@ class ForwardCache:
 
     t[l-1] = W u[l-1] is the field arriving at layer l before its response,
     where u[l-1] is the field leaving the layer below (u[0] is the encoded
-    input times the feed). The fields leaving each layer are not kept: the
-    backward pass needs only t. Batched caches carry a trailing batch axis.
+    input times the feed). The layer-by-layer cache exists because the
+    gradient with respect to layer l's responses reads the field arriving
+    there; training caches it for the K contracted columns X a_y^H, not for
+    the batch. The fields leaving each layer are not kept. Batched caches
+    carry a trailing column axis.
     """
 
     t: np.ndarray  # (L, M) or (L, M, B)
@@ -104,19 +110,66 @@ def forward_batch(
         raise ShapeError(
             f"channel expects {realization.h_matrix.shape[1]} atoms, model has {m}"
         )
-    batch = features.shape[1]
-    t = np.empty((n_layers, m, batch), dtype=np.complex128)
+    t = np.empty((n_layers, m, features.shape[1]), dtype=np.complex128)
     u = features * (tx_amplitude * propagation.w0)[:, None]
     for l in range(n_layers):
         t[l] = propagation.apply(u)
         u = resp[l][:, None] * t[l]
-    y = realization.h_matrix @ u
-    if noise_rngs is not None:
-        if len(noise_rngs) != batch:
-            raise ShapeError(f"need {batch} noise streams, got {len(noise_rngs)}")
-        for b, rng in enumerate(noise_rngs):
-            y[:, b] = add_awgn(y[:, b], realization.noise_sigma, rng)
+    y = add_noise(realization.h_matrix @ u, realization.noise_sigma, noise_rngs)
     return y, ForwardCache(t=t)
+
+
+def add_noise(
+    y: np.ndarray, noise_sigma: float, noise_rngs: list[np.random.Generator] | None
+) -> np.ndarray:
+    """Add one AWGN draw per (K, B) column from its own stream, in place."""
+    if noise_rngs is None:
+        return y
+    if len(noise_rngs) != y.shape[1]:
+        raise ShapeError(f"need {y.shape[1]} noise streams, got {len(noise_rngs)}")
+    for b, rng in enumerate(noise_rngs):
+        y[:, b] = add_awgn(y[:, b], noise_sigma, rng)
+    return y
+
+
+def readout_adjoints(
+    params: PhaseParams | DigitalParams, propagation: Propagation, h_matrix: np.ndarray
+) -> np.ndarray:
+    """Adjoints of the maps from each layer's output to the antennas, (L+1, M, K).
+
+    r[l] = R_l^H, where R_l carries the field leaving layer l (the fed input
+    for l = 0) to the K antennas: r[L] = H^H and r[l-1] = W^H conj(resp_l) r[l],
+    one width-K ``apply_adjoint`` per layer.
+    """
+    resp = params.layer_responses()
+    n_layers, m = resp.shape
+    if h_matrix.shape[1] != m:
+        raise ShapeError(f"channel expects {h_matrix.shape[1]} atoms, model has {m}")
+    r = np.empty((n_layers + 1, m, h_matrix.shape[0]), dtype=np.complex128)
+    r[n_layers] = h_matrix.conj().T
+    for l in range(n_layers, 0, -1):
+        r[l - 1] = propagation.apply_adjoint(np.conj(resp[l - 1])[:, None] * r[l])
+    return r
+
+
+def receive(
+    adjoints: np.ndarray,
+    features: np.ndarray,
+    propagation: Propagation,
+    realization: ChannelRealization,
+    tx_amplitude: float,
+    noise_rngs: list[np.random.Generator] | None = None,
+) -> np.ndarray:
+    """Received (K, B) fields of a (M, B) batch, read through A = R_0 diag(tx w0).
+
+    ``adjoints`` comes from ``readout_adjoints``; noise is added as in
+    ``forward_batch``, one stream per column.
+    """
+    m = adjoints.shape[1]
+    if features.ndim != 2 or features.shape[0] != m:
+        raise ShapeError(f"batch features must be ({m}, B), got {features.shape}")
+    readout = (tx_amplitude * propagation.w0) * adjoints[0].conj().T
+    return add_noise(readout @ features, realization.noise_sigma, noise_rngs)
 
 
 def forward(

@@ -78,11 +78,12 @@ class Propagation:
     def apply_adjoint(self, fields: np.ndarray) -> np.ndarray:
         """W^H @ fields, computed as (fields^H W)^H.
 
-        The backward pass calls this at the antenna count K (a few columns).
-        Putting the narrow operand on the row side makes one gemm that reads
-        W in its stored order and never materialises W^H. It assumes no
-        symmetry of W; the tests check it against ``w_matrix.conj().T @
-        fields`` to rounding and the exact adjoint identity with ``apply``.
+        ``network.readout_adjoints`` calls this at the antenna count K (a few
+        columns). Putting the narrow operand on the row side makes one gemm
+        that reads W in its stored order and never materialises W^H. It
+        assumes no symmetry of W; the tests check it against
+        ``w_matrix.conj().T @ fields`` to rounding and the exact adjoint
+        identity with ``apply``.
         """
         return np.conj(np.conj(fields).T @ self.w_matrix).T
 

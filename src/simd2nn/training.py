@@ -6,23 +6,30 @@ Loss is a cross-entropy over normalized received powers,
 
 which is invariant to uniform power scaling, matching the argmax readout.
 
-The backward pass is reverse-mode through the cached fields arriving at
-each layer (``ForwardCache.t``); its only product with the coupling matrix
-is ``Propagation.apply_adjoint``. Adjoint convention: for every complex
-intermediate v we carry a_v defined by d(loss) = 2 Re{ a_v^H dv }. From
-d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
+Adjoint convention: for every complex intermediate v we carry a_v defined
+by d(loss) = 2 Re{ a_v^H dv }. From d|y_k|^2 = 2 Re{ conj(y_k) dy_k }:
 
     a_y,k   = (dloss/d|y_k|^2) y_k,  dloss/d|y_k|^2 = 1/S - 1{k=label}/(|y_label|^2+eps)
+
+The stack is linear, so R_l, the map from the output of layer l to the K
+antennas, does not depend on the batch. Its adjoint r_l = R_l^H
+(``network.readout_adjoints``) is
+
     r_L     = H^H,   r_{l-1} = W^H conj(resp_l) r_l      (M, K)
 
-The stack is linear, so r_l, the adjoint of the readout from the output of
-layer l to the K antennas, does not depend on the batch: the products with
-W run at width K instead of width B. Layer l's output is resp_l * t_l, so
-the batch-mean Wirtinger gradient with respect to its responses is
+Layer l's output is resp_l * t_l, so the batch-mean Wirtinger gradient with
+respect to its responses is
 
-    G_l = (2/B) sum_b conj(t_l,b) (r_l a_y,b) = (2/B) rowsum(r_l * conj(t_l a_y^H)),
+    G_l = (2/B) sum_b conj(t_l,b) (r_l a_y,b) = (2/B) rowsum(r_l * conj(T_l)),
+    T_l = t_l a_y^H.
 
-one (M, B) x (B, K) product per layer. Both models share G:
+The field t_l arriving at layer l is linear in the input X, so T_l is the
+field that the K contracted columns X a_y^H bring to layer l. A train step
+(``batch_gradient``) is therefore 2L products with W, each K columns wide:
+L ``apply_adjoint`` calls form r_L..r_0; the batch is read through the
+readout A = R_0 diag(tx w0), y = A X plus noise; and one ``forward_batch``
+of X a_y^H caches T_l with L ``apply`` calls. ``backward_batch`` then forms
+G from r_l and T_l with no product with W. Both models share G:
 
     digital:  (d/dRe + j d/dIm) w_m = G_m
     theta:    dloss/dtheta_m = Re{ j e^{j theta_m} conj(G_m) }   (resp = e^{j theta})
@@ -48,6 +55,8 @@ from .network import (
     classify_batch,
     forward_batch,
     init_params,
+    readout_adjoints,
+    receive,
 )
 from .propagation import Propagation, build_propagation
 from . import seeding
@@ -111,36 +120,62 @@ def _power_grad(y: np.ndarray, labels: np.ndarray, eps: float) -> tuple[np.ndarr
     return losses, g
 
 
+def _contraction(y: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:
+    """a_y^H, shape (B, K): X a_y^H contracts a batch X into K columns."""
+    _, g = _power_grad(y, labels, eps)
+    return np.conj(g * y).T
+
+
 def backward_batch(
     cache: ForwardCache,
     params: PhaseParams | DigitalParams,
-    propagation: Propagation,
-    h_matrix: np.ndarray,
-    y: np.ndarray,
+    adjoints: np.ndarray,
     labels: np.ndarray,
+    y: np.ndarray,
     eps: float = TrainConfig.softmax_epsilon,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and the batch-mean parameter gradient.
+    """Per-sample losses of the (K, B) fields y and the batch-mean parameter gradient.
 
+    ``cache`` is the pass of the contracted columns X a_y^H, so cache.t[l-1]
+    is T_l, and ``adjoints`` is r_0..r_L from ``network.readout_adjoints``.
     Returns (losses (B,), grad) with grad shaped like theta for the
     metasurface model and like the complex weights for the digital one.
     """
     resp = params.layer_responses()
     n_layers, m = resp.shape
-    if cache.t.shape[:2] != (n_layers, m):
-        raise ShapeError(f"cache shape {cache.t.shape} does not match ({n_layers}, {m}, B)")
-    batch = y.shape[1]
-    losses, g = _power_grad(y, labels, eps)
-    a_y_h = np.conj(g * y).T
-    r = h_matrix.conj().T
-    grad = np.empty((n_layers, m), dtype=np.complex128)
-    for l in range(n_layers, 0, -1):
-        grad[l - 1] = 2.0 * (r * np.conj(cache.t[l - 1] @ a_y_h)).sum(axis=1) / batch
-        if l > 1:  # no parameter sits below layer 1, so its adjoint is never read
-            r = propagation.apply_adjoint(np.conj(resp[l - 1])[:, None] * r)
+    if adjoints.shape[:2] != (n_layers + 1, m) or cache.t.shape != adjoints[1:].shape:
+        raise ShapeError(
+            f"cache {cache.t.shape} and adjoints {adjoints.shape} do not fit "
+            f"{n_layers} layers of {m} atoms"
+        )
+    losses, _ = _power_grad(y, labels, eps)
+    grad = 2.0 * (adjoints[1:] * np.conj(cache.t)).sum(axis=2) / y.shape[1]
     if params.kind == SIM:  # chain rule through resp = e^{j theta}
         grad = np.real(1j * resp * np.conj(grad))
     return losses, grad
+
+
+def batch_gradient(
+    params: PhaseParams | DigitalParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    propagation: Propagation,
+    channel: ChannelState,
+    noise_rngs: list[np.random.Generator] | None = None,
+    eps: float = TrainConfig.softmax_epsilon,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One train step on a (M, B) batch: (y (K, B), per-sample losses, gradient).
+
+    No product with W is as wide as the batch; see the module docstring.
+    """
+    real = channel.realization
+    adjoints = readout_adjoints(params, propagation, real.h_matrix)
+    y = receive(adjoints, features, propagation, real, channel.tx_amplitude, noise_rngs)
+    _, cache = forward_batch(
+        params, features @ _contraction(y, labels, eps), propagation, real, channel.tx_amplitude
+    )
+    losses, grad = backward_batch(cache, params, adjoints, labels, y, eps)
+    return y, losses, grad
 
 
 def backward(
@@ -152,12 +187,15 @@ def backward(
     label: int,
     eps: float = TrainConfig.softmax_epsilon,
 ) -> np.ndarray:
-    """Single-patch gradient of the loss with respect to the parameters."""
-    batched = ForwardCache(t=cache.t[:, :, None])
-    _, grad = backward_batch(
-        batched, params, propagation, h_matrix, y[:, None], np.array([label]), eps
-    )
-    return grad
+    """Single-patch gradient of the loss with respect to the parameters.
+
+    ``cache`` holds the patch's own fields t_l (``network.forward``); they are
+    contracted here into T_l = t_l a_y^H.
+    """
+    y, labels = y[:, None], np.array([label])
+    contracted = ForwardCache(t=cache.t[:, :, None] * _contraction(y, labels, eps))
+    adjoints = readout_adjoints(params, propagation, h_matrix)
+    return backward_batch(contracted, params, adjoints, labels, y, eps)[1]
 
 
 @dataclass
@@ -268,11 +306,8 @@ def train(
             rngs = None
             if cfg.train_noise:
                 rngs = _noise_streams(cfg, seeding.TRAIN_NOISE, batch_idx, epoch)
-            y, cache = forward_batch(
-                params, feats, prop, channel.realization, channel.tx_amplitude, rngs
-            )
-            losses, grad = backward_batch(
-                cache, params, prop, channel.realization.h_matrix, y, labels, cfg.softmax_epsilon
+            y, losses, grad = batch_gradient(
+                params, feats, labels, prop, channel, rngs, cfg.softmax_epsilon
             )
             where = f"epoch {epoch} batch {batch_no}"
             _require_finite(losses, f"{where}: non-finite loss")

@@ -1,6 +1,9 @@
+import hashlib
 import os
 import shlex
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from simd2nn.config import DataConfig, ExperimentConfig, SynthConfig
 from simd2nn.data import extract_patches, load_dataset, load_scene, save_dataset, synthesize_scene
 from simd2nn.errors import ConfigurationError, ShapeError
 from simd2nn.experiment import (
+    channel_for_config,
+    encode_for_config,
     format_ablation_table,
     obtain_patches,
     run_ablation_suite,
@@ -117,6 +122,62 @@ def test_ablation_continues_after_row_failure(tmp_path, monkeypatch):
     assert rows[0].error is not None and rows[0].metrics is None
     assert all(r.metrics is not None for r in rows[1:])
     assert "failed" in format_ablation_table(rows)
+
+
+def test_ablation_encodes_once_per_setting_and_draws_one_channel(tmp_path, monkeypatch):
+    import simd2nn.experiment as experiment
+
+    calls = {"encode": 0, "channel": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiment, "encode_for_config", counted("encode", encode_for_config))
+    monkeypatch.setattr(experiment, "channel_for_config", counted("channel", channel_for_config))
+    base = tiny_config(tmp_path / "suite", scene=320)
+    rows = run_ablation_suite(base)
+    assert all(r.metrics is not None for r in rows), [r.error for r in rows]
+    # one encode with phase rotation and one without; the transmit power row
+    # shares the realization, which does not depend on the transmit power
+    assert calls == {"encode": 2, "channel": 1}
+    # the rows that share work still write what a standalone run of them writes
+    transforms = dict(experiment._ablation_rows())
+    for name, slug in (
+        ("SIM-D2NN (Pt=5dBm)", "sim-d2nn-pt=5dbm"),
+        ("SIM-D2NN (no phase rotation)", "sim-d2nn-no-phase-rotation"),
+    ):
+        alone = tmp_path / slug
+        run_experiment(replace(transforms[name](base), output_dir=str(alone)))
+        for artifact in ARTIFACTS:
+            shared = tmp_path / "suite" / slug / artifact
+            assert shared.read_bytes() == (alone / artifact).read_bytes(), (name, artifact)
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    import simd2nn
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[geometry]\natoms_rows = 16\natoms_cols = 32\n[training]\nepochs = 3\n")
+    src = os.path.dirname(os.path.dirname(simd2nn.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-m", "simd2nn.cli", "run", "--config", str(cfg_path),
+             "--seed", "4", "--out-dir", str(out_dir)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        digests.append(
+            [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+             for name in ("params.simth1", "history.txt")]
+        )
+    assert digests[0] == digests[1]
 
 
 # --- CLI --------------------------------------------------------------------

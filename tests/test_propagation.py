@@ -4,8 +4,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+import simd2nn.training as training
 from simd2nn import kernels
-from simd2nn.channel import ChannelRealization
+from simd2nn.channel import ChannelConfig, realize_channel
+from simd2nn.data import EncodedDataset
 from simd2nn.errors import DomainError
 from simd2nn.geometry import (
     TX_ANTENNA,
@@ -14,7 +16,7 @@ from simd2nn.geometry import (
     layer_positions,
     pair_distance_angle,
 )
-from simd2nn.network import PhaseParams, forward_batch
+from simd2nn.network import PhaseParams
 from simd2nn.propagation import (
     Propagation,
     build_input_vector,
@@ -24,7 +26,8 @@ from simd2nn.propagation import (
     diffraction_coefficient,
     dump_matrix_text,
 )
-from simd2nn.training import backward_batch
+from simd2nn.seeding import CHANNEL, stream
+from simd2nn.training import TrainConfig
 
 AXIAL = dict(distance=0.0125, cos_angle=1.0, pitch_x=0.0125, pitch_y=0.0125, wavelength=0.025)
 
@@ -227,35 +230,45 @@ class CountingPropagation(Propagation):
         return super().apply_adjoint(fields)
 
 
-def test_one_step_uses_one_product_per_layer_each_way():
-    n_layers, batch = 3, 5
+def test_one_step_uses_one_product_per_layer_each_way(monkeypatch):
+    # one train step: L adjoint products form the readout adjoints and L
+    # forward products carry the K contracted columns, so every product with
+    # W is K columns wide and none is as wide as the batch
+    n_layers, batch, k = 3, 7, 3
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3, num_layers=n_layers))
     base = build_propagation(geom)
     prop = CountingPropagation(w0=base.w0, w_matrix=base.w_matrix)
+    monkeypatch.setattr(training, "build_propagation", lambda geometry: prop)
     rng = np.random.default_rng(12)
     m = geom.atoms_per_layer
-    real = ChannelRealization(h_matrix=_complex_normal(rng, (2, m)), noise_sigma=0.0)
-    params = PhaseParams(theta=rng.uniform(0, 2 * np.pi, (n_layers, m)))
-    y, cache = forward_batch(params, _complex_normal(rng, (m, batch)), prop, real, 1.0)
-    backward_batch(cache, params, prop, real.h_matrix, y, np.arange(batch) % 2)
-    # no parameter sits below layer 1, so the backward pass skips its adjoint
-    assert prop.calls == {"apply": n_layers, "apply_adjoint": n_layers - 1}
+    channel = realize_channel(ChannelConfig(num_rx_antennas=k), m, stream(12, CHANNEL))
+    dataset = EncodedDataset(
+        features=_complex_normal(rng, (batch, m)) / 3.0,
+        labels=np.arange(batch) % k,
+        origins=np.stack([np.zeros(batch, dtype=np.int64), np.arange(batch)], axis=1),
+    )
+    cfg = TrainConfig(epochs=1, batch_size=batch, sample_rate=1.0, master_seed=0)
+    training.train(dataset, geom, channel, cfg)
+    assert prop.calls == {"apply": n_layers, "apply_adjoint": n_layers}
+    assert prop.widths == {"apply": [k] * n_layers, "apply_adjoint": [k] * n_layers}
 
 
 def test_backward_pulls_back_at_antenna_width():
-    # the forward runs at batch width; the backward carries the K-column
-    # readout adjoint, so no product with W is as wide as the batch
+    # the batch is read through the K-row readout, and the readout adjoints
+    # and the contracted columns are K wide, so no product with W is as wide
+    # as the batch
     n_layers, batch, k = 4, 7, 2
     geom = build_geometry(GeometryConfig(atoms_rows=2, atoms_cols=3, num_layers=n_layers))
     base = build_propagation(geom)
     prop = CountingPropagation(w0=base.w0, w_matrix=base.w_matrix)
     rng = np.random.default_rng(13)
     m = geom.atoms_per_layer
-    real = ChannelRealization(h_matrix=_complex_normal(rng, (k, m)), noise_sigma=0.0)
+    channel = realize_channel(ChannelConfig(num_rx_antennas=k), m, stream(13, CHANNEL))
     params = PhaseParams(theta=rng.uniform(0, 2 * np.pi, (n_layers, m)))
-    y, cache = forward_batch(params, _complex_normal(rng, (m, batch)), prop, real, 1.0)
-    backward_batch(cache, params, prop, real.h_matrix, y, np.arange(batch) % k)
-    assert prop.widths == {"apply": [batch] * n_layers, "apply_adjoint": [k] * (n_layers - 1)}
+    features = _complex_normal(rng, (m, batch))
+    y, losses, _ = training.batch_gradient(params, features, np.arange(batch) % k, prop, channel)
+    assert y.shape == (k, batch) and losses.shape == (batch,)
+    assert prop.widths == {"apply": [k] * n_layers, "apply_adjoint": [k] * n_layers}
 
 
 def test_dump_matrix_text(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import simd2nn.training as training
 from simd2nn.channel import ChannelConfig, ChannelState, realize_channel
 from simd2nn.data import EncodedDataset
 from simd2nn.errors import ConfigurationError, SimError
@@ -17,13 +18,13 @@ from simd2nn.network import (
     init_params,
 )
 from simd2nn.propagation import build_propagation
-from simd2nn.seeding import CHANNEL, stream
+from simd2nn.seeding import CHANNEL, TRAIN_NOISE, stream
 from simd2nn.training import (
     OptimizerState,
     TrainConfig,
     adamw_step,
     backward,
-    backward_batch,
+    batch_gradient,
     evaluate,
     loss,
     train,
@@ -145,9 +146,12 @@ def _width_b_backward(cache, params, prop, h_matrix, y, labels, eps):
 
 
 @pytest.mark.parametrize("kind", ["sim", "digital"])
-@pytest.mark.parametrize("batch", [29, 64])
+@pytest.mark.parametrize("batch", [1, 29, 64])
 def test_backward_batch_matches_width_b_pullback(kind, batch):
-    # the default channel puts |y|^2 at its physical scale, far below unit
+    # the production step reads y through the readout and pulls back the
+    # contracted columns; the reference runs the batch layer by layer. The
+    # default channel puts |y|^2 at its physical scale, far below unit, and
+    # both sides draw the same per-column noise.
     geom = build_geometry(GeometryConfig(atoms_rows=8, atoms_cols=16, num_layers=4))
     m = geom.atoms_per_layer
     channel = realize_channel(ChannelConfig(), m, stream(7, CHANNEL))
@@ -156,36 +160,68 @@ def test_backward_batch_matches_width_b_pullback(kind, batch):
     params = init_params(geom, kind, rng)
     feats = rng.uniform(0.1, 1.0, (m, batch)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, batch)))
     labels = rng.integers(0, 2, batch)
-    y, cache = forward_batch(params, feats, prop, channel.realization, channel.tx_amplitude)
-    assert 1e-16 < np.median(np.abs(y) ** 2) < 1e-11
     h, eps = channel.realization.h_matrix, TrainConfig().softmax_epsilon
-    losses, grad = backward_batch(cache, params, prop, h, y, labels, eps)
-    ref_losses, ref_grad = _width_b_backward(cache, params, prop, h, y, labels, eps)
-    assert np.array_equal(losses, ref_losses)
+
+    def noise():
+        return [stream(7, TRAIN_NOISE, j) for j in range(batch)]
+
+    ref_y, cache = forward_batch(
+        params, feats, prop, channel.realization, channel.tx_amplitude, noise()
+    )
+    assert 1e-16 < np.median(np.abs(ref_y) ** 2) < 1e-11
+    ref_losses, ref_grad = _width_b_backward(cache, params, prop, h, ref_y, labels, eps)
+    y, losses, grad = batch_gradient(params, feats, labels, prop, channel, noise(), eps)
+    assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
+    assert np.abs(losses - ref_losses).max() <= 1e-12 * np.abs(ref_losses).max()
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 @pytest.mark.parametrize("kind", ["sim", "digital"])
-def test_backward_batch_holds_no_batch_width_array(kind):
-    # besides the cache it reads, the backward pass holds only (M, K) and
-    # (M,) arrays: the gradient is formed at antenna width, so its peak stays
-    # below one (M, B) complex array
+def test_production_step_matches_width_b_pullback_on_random_w(kind):
+    # a W that is not symmetric tells W^H from conj(W), which the physical
+    # coupling matrix (bit-equal to its transpose) cannot
+    rng = np.random.default_rng(17)
+    prop, real, _, theta = random_instance(rng, 6, 3, k=3)
+    params = PhaseParams(theta) if kind == "sim" else DigitalParams(np.exp(1j * theta))
+    channel = ChannelState(ChannelConfig(num_rx_antennas=3), real)
+    feats = rng.uniform(0.1, 1.0, (6, 5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 5)))
+    labels = np.array([0, 1, 2, 1, 0])
+    ref_y, cache = forward_batch(params, feats, prop, real, channel.tx_amplitude)
+    ref_losses, ref_grad = _width_b_backward(
+        cache, params, prop, real.h_matrix, ref_y, labels, 1e-12
+    )
+    y, losses, grad = batch_gradient(params, feats, labels, prop, channel)
+    assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
+    assert np.abs(losses - ref_losses).max() <= 1e-12 * np.abs(ref_losses).max()
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("kind", ["sim", "digital"])
+def test_train_step_holds_no_batch_width_array(kind, monkeypatch):
+    # apart from the gathered (B, M) features, a train step holds (M, K),
+    # (L, M, K) and (M,) arrays: no product with W is as wide as the batch,
+    # so the peak stays below two (M, B) complex arrays
     geom = build_geometry(GeometryConfig(atoms_rows=16, atoms_cols=32, num_layers=4))
     m, batch = geom.atoms_per_layer, 64
     channel = realize_channel(ChannelConfig(), m, stream(7, CHANNEL))
     prop = build_propagation(geom)
+    monkeypatch.setattr(training, "build_propagation", lambda geometry: prop)
     rng = np.random.default_rng(5)
-    params = init_params(geom, kind, rng)
-    feats = rng.uniform(0.1, 1.0, (m, batch)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, batch)))
-    y, cache = forward_batch(params, feats, prop, channel.realization, channel.tx_amplitude)
-    h, labels = channel.realization.h_matrix, np.arange(batch) % 2
+    feats = rng.uniform(0.1, 1.0, (batch, m)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (batch, m)))
+    ds = EncodedDataset(
+        features=feats,
+        labels=np.arange(batch) % 2,
+        origins=np.stack([np.zeros(batch, dtype=np.int64), np.arange(batch)], axis=1),
+    )
+    cfg = TrainConfig(epochs=1, batch_size=batch, sample_rate=1.0, master_seed=0)
+    train(ds, geom, channel, cfg, kind=kind)  # warm-up: the traced call repeats this one step
     tracemalloc.start()
     try:
-        backward_batch(cache, params, prop, h, y, labels)
+        train(ds, geom, channel, cfg, kind=kind)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < m * batch * np.dtype(np.complex128).itemsize
+    assert peak < 2 * m * batch * np.dtype(np.complex128).itemsize
 
 
 def test_global_phase_null_direction():
