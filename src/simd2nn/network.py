@@ -11,8 +11,9 @@ K x M readout A = H D_L W ... D_1 W diag(tx w0). ``readout_adjoints`` forms
 its adjoints layer by layer at antenna width K and ``receive`` reads a batch
 through A; training uses both. ``forward_batch`` carries the fields layer by
 layer, which ``predict`` and the gradient (at width K) use. Products with
-the coupling matrix go through ``Propagation.apply`` and ``apply_adjoint``,
-and the receiver noise of both paths through ``add_noise``.
+the coupling matrix go through the propagation operator's ``apply`` and
+``apply_adjoint``, and the receiver noise of both paths through
+``add_noise``.
 """
 
 import struct
@@ -24,7 +25,7 @@ from .binio import check_size, read_header
 from .channel import ChannelRealization, add_awgn
 from .errors import EncodingError, FormatError, ShapeError
 from .geometry import SimGeometry
-from .propagation import Propagation
+from .propagation import Operator
 
 SIM = "sim"
 DIGITAL = "digital"
@@ -94,7 +95,7 @@ class ForwardCache:
 def forward_batch(
     params: PhaseParams | DigitalParams,
     features: np.ndarray,
-    propagation: Propagation,
+    propagation: Operator,
     realization: ChannelRealization,
     tx_amplitude: float,
     noise_rngs: list[np.random.Generator] | None = None,
@@ -104,8 +105,8 @@ def forward_batch(
     n_layers, m = resp.shape
     if features.ndim != 2 or features.shape[0] != m:
         raise ShapeError(f"batch features must be ({m}, B), got {features.shape}")
-    if propagation.w_matrix.shape != (m, m) or propagation.w0.shape != (m,):
-        raise ShapeError("propagation shapes inconsistent with parameters")
+    if propagation.w0.shape != (m,):
+        raise ShapeError(f"propagation has {propagation.w0.shape[0]} atoms, model has {m}")
     if realization.h_matrix.shape[1] != m:
         raise ShapeError(
             f"channel expects {realization.h_matrix.shape[1]} atoms, model has {m}"
@@ -115,7 +116,10 @@ def forward_batch(
     for l in range(n_layers):
         t[l] = propagation.apply(u)
         u = resp[l][:, None] * t[l]
-    y = add_noise(realization.h_matrix @ u, realization.noise_sigma, noise_rngs)
+    # einsum sums each column over the atoms in index order, so a column's y
+    # does not depend on the batch it rides in (a gemm's order does)
+    y = np.einsum("km,mb->kb", realization.h_matrix, u)
+    y = add_noise(y, realization.noise_sigma, noise_rngs)
     return y, ForwardCache(t=t)
 
 
@@ -133,7 +137,7 @@ def add_noise(
 
 
 def readout_adjoints(
-    params: PhaseParams | DigitalParams, propagation: Propagation, h_matrix: np.ndarray
+    params: PhaseParams | DigitalParams, propagation: Operator, h_matrix: np.ndarray
 ) -> np.ndarray:
     """Adjoints of the maps from each layer's output to the antennas, (L+1, M, K).
 
@@ -155,7 +159,7 @@ def readout_adjoints(
 def receive(
     adjoints: np.ndarray,
     features: np.ndarray,
-    propagation: Propagation,
+    propagation: Operator,
     realization: ChannelRealization,
     tx_amplitude: float,
     noise_rngs: list[np.random.Generator] | None = None,
@@ -175,7 +179,7 @@ def receive(
 def forward(
     params: PhaseParams | DigitalParams,
     encoded: EncodedInput,
-    propagation: Propagation,
+    propagation: Operator,
     realization: ChannelRealization,
     tx_amplitude: float,
     noise_rng: np.random.Generator | None = None,

@@ -58,7 +58,7 @@ from .network import (
     readout_adjoints,
     receive,
 )
-from .propagation import Propagation, build_propagation
+from .propagation import Operator, build_propagation
 from . import seeding
 
 
@@ -159,7 +159,7 @@ def batch_gradient(
     params: PhaseParams | DigitalParams,
     features: np.ndarray,
     labels: np.ndarray,
-    propagation: Propagation,
+    propagation: Operator,
     channel: ChannelState,
     noise_rngs: list[np.random.Generator] | None = None,
     eps: float = TrainConfig.softmax_epsilon,
@@ -181,7 +181,7 @@ def batch_gradient(
 def backward(
     cache: ForwardCache,
     params: PhaseParams | DigitalParams,
-    propagation: Propagation,
+    propagation: Operator,
     h_matrix: np.ndarray,
     y: np.ndarray,
     label: int,

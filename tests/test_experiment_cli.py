@@ -157,27 +157,46 @@ def test_ablation_encodes_once_per_setting_and_draws_one_channel(tmp_path, monke
             assert shared.read_bytes() == (alone / artifact).read_bytes(), (name, artifact)
 
 
-def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+def _run_digests(tmp_path, entry, threads):
+    """SHA-256 of each artifact of one 16x32-atom ``run`` per BLAS thread count."""
     import simd2nn
 
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("[geometry]\natoms_rows = 16\natoms_cols = 32\n[training]\nepochs = 3\n")
     src = os.path.dirname(os.path.dirname(simd2nn.__file__))
     digests = []
-    for threads in ("1", "2"):
-        out_dir = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    for run, count in enumerate(threads):
+        out_dir = tmp_path / f"run-{run}-threads-{count}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run(
-            [sys.executable, "-m", "simd2nn.cli", "run", "--config", str(cfg_path),
+            [sys.executable, *entry, "run", "--config", str(cfg_path),
              "--seed", "4", "--out-dir", str(out_dir)],
             env=env, check=True, capture_output=True, timeout=300,
         )
         digests.append(
-            [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-             for name in ("params.simth1", "history.txt")]
+            [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ARTIFACTS]
         )
+    return digests
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # 16x32 atoms: build_propagation returns the dense operator
+    digests = _run_digests(tmp_path, ["-m", "simd2nn.cli"], ("1", "2"))
     assert digests[0] == digests[1]
+
+
+# Runs the CLI with the FFT operator forced at every atom count.
+FORCE_FFT = (
+    "import sys; import simd2nn.propagation as p; p.FFT_MIN_ATOMS = 1; "
+    "from simd2nn.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_fft_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the same run on the FFT operator, under 1 and 2 BLAS threads and run to run
+    digests = _run_digests(tmp_path, ["-c", FORCE_FFT], ("1", "2", "2"))
+    assert digests[0] == digests[1] == digests[2]
 
 
 # --- CLI --------------------------------------------------------------------
