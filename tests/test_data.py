@@ -278,6 +278,7 @@ def test_dataset_round_trip(tmp_path):
         assert a.origin == b.origin and a.label == b.label
         assert b.samples.dtype == np.complex64
         assert b.samples.flags.owndata and b.samples.flags.writeable
+        assert b.samples.flags.aligned and b.samples.flags.c_contiguous
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -393,6 +394,13 @@ def test_oversized_header_fails_before_reading_payload(tmp_path, monkeypatch, fm
     with pytest.raises(FormatError, match=f"truncated file.*byte offset {header_size}"):
         loader(str(path))
     assert tally[0] == header_size
+
+
+def test_short_read_fails_naming_byte_offset():
+    fh = io.BytesIO(b"abc")
+    fh.seek(1)
+    with pytest.raises(FormatError, match="^truncated file: reading a header needs 9 bytes after byte offset 1, but only 2 follow$"):
+        data._read_into(fh, bytearray(9), "a header")
 
 
 def test_scene_rejects_unknown_mask_flag(tmp_path):
